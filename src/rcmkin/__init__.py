@@ -84,7 +84,6 @@ from .trajectory import (
 )
 from .transforms import (
     apply_point,
-    compose,
     euler_xyz,
     euler_xyz_angles,
     is_rotation,

@@ -30,14 +30,12 @@ from .spherical import (
     left_geometry,
     right_geometry,
 )
-from .trajectory import ProfileLimits, plan_profile, sample_profile
+from .trajectory import ProfileLimits, plan_profile, sample_profile, time_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_SINGULAR = 3
-
-_BRANCHES = {"principal": IkBranch.PRINCIPAL, "mirror": IkBranch.MIRROR}
 
 
 def exit_code_for(exc: Exception) -> int:
@@ -99,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="override the output CSV path")
     run.add_argument("--plot-data", choices=list(csvio.PLOT_SUBSETS),
                      help="write only that figure's column subset")
-    run.add_argument("--branch", choices=list(_BRANCHES),
+    run.add_argument("--branch", choices=[b.value for b in IkBranch],
                      help="override the IK branch policy")
     run.add_argument("--quiet", action="store_true", help="suppress the summary line")
 
@@ -115,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     ik.add_argument("--pose", type=_csv_floats(6), required=True,
                     metavar="X,Y,Z,PSI,THETA,PHI")
     ik.add_argument("--tip", type=_csv_floats(3), required=True, metavar="X,Y,Z")
-    ik.add_argument("--branch", choices=list(_BRANCHES), default="principal")
+    ik.add_argument("--branch", choices=[b.value for b in IkBranch],
+                    default=IkBranch.PRINCIPAL.value)
     _add_geometry_args(ik)
 
     profile = sub.add_parser("profile", help="trapezoidal profile arithmetic")
@@ -139,12 +138,9 @@ def _cmd_run(args) -> int:
                   f"{args.scenario!r}", file=sys.stderr)
             return EXIT_CONFIG
     if args.dt is not None:
-        if args.dt <= 0:
-            print("error: --dt must be positive", file=sys.stderr)
-            return EXIT_CONFIG
-        sc.dt = args.dt
+        sc.dt = args.dt  # the planners' time grid validates it
     if args.branch is not None:
-        sc.branch = _BRANCHES[args.branch]
+        sc.branch = IkBranch(args.branch)
     out_path = args.out or sc.output
 
     started = time.perf_counter()
@@ -167,39 +163,33 @@ def _cmd_validate() -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CONFIG
 
 
-def _cmd_fk(args) -> int:
-    tip = fk_tip_fixed(
-        PlatformPose(*args.pose), SphericalJoints(*args.joints), _geometry_from(args)
-    )
-    print(",".join(csvio.format_number(v) for v in tip))
-    return EXIT_OK
-
-
-def _cmd_ik(args) -> int:
-    joints = ik_full(
-        PlatformPose(*args.pose), args.tip, _geometry_from(args), _BRANCHES[args.branch]
-    )
-    print(",".join(csvio.format_number(v) for v in (joints.q1, joints.q2, joints.q3)))
+def _cmd_query(args) -> int:
+    """fk or ik: one configuration in, one comma-separated line out."""
+    try:
+        pose, geometry = PlatformPose(*args.pose), _geometry_from(args)
+    except ValueError as exc:  # non-finite or out-of-range pose or geometry
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.command == "fk":
+        values = fk_tip_fixed(pose, SphericalJoints(*args.joints), geometry)
+    else:
+        joints = ik_full(pose, args.tip, geometry, IkBranch(args.branch))
+        values = (joints.q1, joints.q2, joints.q3)
+    print(",".join(csvio.format_number(v) for v in values))
     return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
     prof = plan_profile(args.delta, ProfileLimits(args.omega_max, args.eps_max))
+    times = [] if args.dt is None else time_grid(prof.t_total, args.dt)
     fmt = csvio.format_number
     print(
         f"shape={prof.shape.value} t_acc={fmt(prof.t_acc)} "
         f"t_cruise={fmt(prof.t_cruise)} t_total={fmt(prof.t_total)} "
         f"peak_rate={fmt(prof.peak_rate)}"
     )
-    if args.dt is not None:
-        if args.dt <= 0:
-            print("error: --dt must be positive", file=sys.stderr)
-            return EXIT_CONFIG
-        steps = max(1, round(prof.t_total / args.dt)) if prof.t_total > 0 else 0
-        for i in range(steps + 1):
-            t = prof.t_total * i / steps if steps else 0.0
-            s, v, a = sample_profile(prof, t)
-            print(",".join(fmt(x) for x in (t, s, v, a)))
+    for t in times:
+        print(",".join(fmt(x) for x in (t, *sample_profile(prof, t))))
     return EXIT_OK
 
 
@@ -210,10 +200,8 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "validate":
             return _cmd_validate()
-        if args.command == "fk":
-            return _cmd_fk(args)
-        if args.command == "ik":
-            return _cmd_ik(args)
+        if args.command in ("fk", "ik"):
+            return _cmd_query(args)
         return _cmd_profile(args)
     except (KinematicsError, ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ _JOINT_COLUMNS = ("q1", "q2", "q3")
 def format_number(value: float) -> str:
     """Fixed-notation decimal with SIGNIFICANT_DIGITS significant digits."""
     if value == 0.0 or not math.isfinite(value):
-        return "0" if value == 0.0 else repr(value)
+        return "0" if value == 0.0 else repr(float(value))
     decimals = max(0, SIGNIFICANT_DIGITS - 1 - math.floor(math.log10(abs(value))))
     return f"{value:.{decimals}f}"
 

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GimbalProximityError
-from .transforms import compose, euler_xyz, homogeneous, last_column, translation, vec3
+from .transforms import apply_point, euler_xyz, vec3
 
 #: Degrees of clearance required between |theta| and the 90 deg degeneracy.
 GIMBAL_MARGIN_DEG = 1e-3
@@ -105,9 +105,12 @@ def check_pose(pose: PlatformPose) -> None:
 def platform_matrix(pose: PlatformPose) -> np.ndarray:
     """Homogeneous transform of the platform frame in the fixed frame."""
     check_pose(pose)
-    return homogeneous(euler_xyz(*pose.angles_rad), pose.position)
+    m = np.eye(4)
+    m[:3, :3] = euler_xyz(*pose.angles_rad)
+    m[:3, 3] = pose.position
+    return m
 
 
 def rcm_fixed(pose: PlatformPose, port: RcmPort) -> np.ndarray:
     """Fixed-frame position of an entry port carried by the platform."""
-    return last_column(compose(platform_matrix(pose), translation(port.offset)))
+    return apply_point(platform_matrix(pose), port.offset)

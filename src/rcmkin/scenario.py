@@ -52,8 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioParseError, ScenarioValidationError
-from .platform import GIMBAL_MARGIN_DEG, PlatformPose
+from .errors import GimbalProximityError, ScenarioParseError, ScenarioValidationError
+from .platform import PlatformPose, check_pose
 from .spherical import IkBranch, SphericalGeometry, SphericalJoints, left_geometry, mirrored
 from .trajectory import (
     MotionPlan,
@@ -67,7 +67,6 @@ from .transforms import euler_xyz
 
 _MOTION_NAMES = {"type2": MotionType.INSERT, "type3": MotionType.MANIPULATE,
                  "type4": MotionType.REORIENT}
-_BRANCH_NAMES = {"principal": IkBranch.PRINCIPAL, "mirror": IkBranch.MIRROR}
 
 DEFAULT_OUTPUT = "plan.csv"
 
@@ -219,18 +218,15 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
     motion = kv.word("motion", _MOTION_NAMES)
     try:
         pose = PlatformPose(*kv.floats("pose", 6))
-    except ValueError as exc:
+        check_pose(pose)
+    except (ValueError, GimbalProximityError) as exc:
         raise ScenarioValidationError(f"pose: {exc}", "pose") from None
-    if abs(pose.theta) >= 90.0 - GIMBAL_MARGIN_DEG:
-        raise ScenarioValidationError(
-            "pose: theta too close to the 90 deg degeneracy", "pose"
-        )
 
     omega_max = _positive(kv, "omega_max", 10.0)
     eps_max = _positive(kv, "eps_max", 5.0)
     dt = _positive(kv, "dt", 0.01)
     limits = ProfileLimits(omega_max, eps_max)
-    branch = kv.word("branch", _BRANCH_NAMES, IkBranch.PRINCIPAL)
+    branch = kv.word("branch", {b.value: b for b in IkBranch}, IkBranch.PRINCIPAL)
     output = kv.raw("output") or DEFAULT_OUTPUT
 
     geometry_kw = dict(

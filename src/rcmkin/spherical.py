@@ -29,6 +29,7 @@ from .platform import (
     RcmPort,
     check_pose,
     left_port,
+    platform_matrix,
 )
 from .transforms import euler_xyz, last_column, rot_x, rot_y, trans_z, vec3
 
@@ -123,12 +124,13 @@ def mirrored(geometry: SphericalGeometry, negate_alpha: bool = True) -> Spherica
 
 
 def check_joints(joints: SphericalJoints, geometry: SphericalGeometry) -> None:
-    """Raise JointLimitError naming the first joint outside its travel."""
-    if abs(joints.q1) > geometry.q1_limit:
+    """Raise JointLimitError naming the first joint outside its travel; NaN
+    lies outside every travel."""
+    if not abs(joints.q1) <= geometry.q1_limit:
         raise JointLimitError(
             f"q1 = {joints.q1:.6g} deg exceeds +/-{geometry.q1_limit:g} deg"
         )
-    if abs(joints.q2) > geometry.q2_limit:
+    if not abs(joints.q2) <= geometry.q2_limit:
         raise JointLimitError(
             f"q2 = {joints.q2:.6g} deg exceeds +/-{geometry.q2_limit:g} deg"
         )
@@ -203,13 +205,9 @@ def fk_tip_fixed_chain(
     pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGeometry
 ) -> np.ndarray:
     """Instrument tip in the fixed frame via homogeneous-transform composition."""
-    check_pose(pose)
     port = np.eye(4)
     port[:3, 3] = geometry.port.offset
-    platform = np.eye(4)
-    platform[:3, :3] = euler_xyz(*pose.angles_rad)
-    platform[:3, 3] = pose.position
-    return last_column(platform @ port @ module_matrix(joints, geometry))
+    return last_column(platform_matrix(pose) @ port @ module_matrix(joints, geometry))
 
 
 def ik_tip_platform(

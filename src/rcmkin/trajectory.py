@@ -5,17 +5,21 @@ delta_theta) while every configured instrument holds its tip position:
 joints come from per-sample closed-form IK (drift free), rates from the
 compensation solver, accelerations from the differentiated velocity
 relation. Insertion (type 2) and joint-space (type 3) planners run plain
-synchronized trapezoids without compensation.
+synchronized trapezoids without compensation and without building B.
 
 Plans are rejected -- with the offending sample time attached -- when a
-sample is unreachable, violates a joint limit, is singular, or when the
-normalized Jacobian determinant changes sign between consecutive samples
-(the plan would cross a singularity/assembly-mode boundary between them).
+sample is unreachable, violates a joint limit, or is singular, or when the
+signed singularity measure sigma = -cos q2 cos beta changes sign between
+consecutive samples (the plan would cross a singularity between them).
+Along a type 2/3 trapezoid q2 is monotone, so a +/-90 deg crossing is
+caught at the first sample past it. A type 4 plan holds one IK branch, on
+which cos q2 keeps its sign, so only the |sigma| threshold can fire there.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -23,7 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from . import differential
-from .differential import InputRates, jacobian_rate, jacobians
+from .differential import (
+    InputRates,
+    check_nonsingular,
+    jacobian_rate,
+    jacobians,
+    signed_measure,
+)
 from .errors import (
     InvalidLimitsError,
     KinematicsError,
@@ -43,9 +53,11 @@ from .spherical import (
 #: Grid-snapping slack when deciding how many dt steps cover a duration.
 _GRID_TOL = 1e-9
 
+#: Most samples one time grid may hold; larger requests fail before allocating.
+MAX_SAMPLES = 1_000_000
+
 
 class MotionType(Enum):
-    REPOSITION = 1  # gross positioning outside the patient (not planned here)
     INSERT = 2
     MANIPULATE = 3
     REORIENT = 4
@@ -202,78 +214,70 @@ class MotionPlan:
         return len(self.time)
 
 
-def _time_grid(t_total: float, dt: float) -> np.ndarray:
+def time_grid(t_total: float, dt: float) -> np.ndarray:
+    """Uniform sample times over [0, t_total] with inclusive endpoints: the
+    fewest steps no longer than dt, at most MAX_SAMPLES samples."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidLimitsError("dt must be a positive finite step")
     if t_total <= 0.0:
         return np.zeros(1)
-    steps = max(1, math.ceil(t_total / dt - _GRID_TOL))
+    steps = t_total / dt - _GRID_TOL
+    if steps > MAX_SAMPLES - 1:
+        raise InvalidLimitsError(
+            f"dt = {dt:.6g} s needs more than {MAX_SAMPLES} samples over {t_total:.9g} s"
+        )
+    steps = max(1, math.ceil(steps))
     times = t_total * np.arange(steps + 1) / steps
     times[-1] = t_total
     return times
 
 
-def _at_sample(t: float, exc: KinematicsError) -> KinematicsError:
-    wrapped = type(exc)(f"at sample t = {t:.9g} s: {exc}")
-    wrapped.sample_time = t
-    return wrapped
+@contextmanager
+def _at_sample(t: float):
+    """Re-raise a kinematic failure inside the block with the sample time."""
+    try:
+        yield
+    except KinematicsError as exc:
+        wrapped = type(exc)(f"at sample t = {t:.9g} s: {exc}")
+        wrapped.sample_time = t
+        raise wrapped from None
 
 
 class _TrackBuilder:
-    """Accumulates one instrument's rows and enforces the singularity guards."""
+    """Fills one instrument's track row by row and enforces the singularity
+    guard."""
 
-    def __init__(self, name: str, geometry: SphericalGeometry, samples: int):
-        self.name = name
-        self.geometry = geometry
-        self.joints = np.empty((samples, 3))
-        self.rates = np.zeros((samples, 3))
-        self.accels = np.zeros((samples, 3))
-        self.tip = np.empty((samples, 3))
-        self.sing = np.empty(samples)
-        self._prev_det = None
+    def __init__(self, geometry: SphericalGeometry, samples: int):
+        self.track = InstrumentTrack(
+            geometry.port.side.value,
+            geometry,
+            np.empty((samples, 3)),
+            np.zeros((samples, 3)),
+            np.zeros((samples, 3)),
+            np.empty((samples, 3)),
+            np.empty(samples),
+        )
+        self._prev_sigma = None
 
-    def check_determinant(self, t: float, pair) -> float:
-        det = float(np.linalg.det(pair.b_q_unit))
-        if abs(det) <= differential.SIGMA_MIN:
-            raise _at_sample(
-                t,
-                SingularConfigurationError(
-                    f"normalized joint-block |det| = {abs(det):.3e} <= "
-                    f"{differential.SIGMA_MIN:g}"
-                ),
+    def guard(self, sigma: float) -> float:
+        """|sigma| of this sample, checked against the threshold and against
+        a sign change since the previous sample."""
+        measure = check_nonsingular(sigma)
+        if self._prev_sigma is not None and sigma * self._prev_sigma < 0.0:
+            raise SingularConfigurationError(
+                "joint-block determinant changed sign since the previous "
+                "sample; the motion crosses a singularity between samples"
             )
-        if self._prev_det is not None and det * self._prev_det < 0.0:
-            raise _at_sample(
-                t,
-                SingularConfigurationError(
-                    "joint-block determinant changed sign since the previous "
-                    "sample; the motion crosses a singularity between samples"
-                ),
-            )
-        self._prev_det = det
-        return abs(det)
+        self._prev_sigma = sigma
+        return measure
 
     def store(self, i, joints, rates, accels, tip, measure):
-        self.joints[i] = (joints.q1, joints.q2, joints.q3)
-        self.rates[i] = rates
-        self.accels[i] = accels
-        self.tip[i] = tip
-        self.sing[i] = measure
-
-    def finish(self) -> InstrumentTrack:
-        return InstrumentTrack(
-            self.name,
-            self.geometry,
-            self.joints,
-            self.rates,
-            self.accels,
-            self.tip,
-            self.sing,
-        )
-
-
-def _instrument_name(geometry: SphericalGeometry) -> str:
-    return geometry.port.side.value
+        track = self.track
+        track.joints[i] = (joints.q1, joints.q2, joints.q3)
+        track.rates[i] = rates
+        track.accels[i] = accels
+        track.tip[i] = tip
+        track.sing[i] = measure
 
 
 def plan_type4(
@@ -300,15 +304,13 @@ def plan_type4(
     profile_psi = stretch_profile(profile_psi, t_total)
     profile_theta = stretch_profile(profile_theta, t_total)
 
-    times = _time_grid(t_total, dt)
+    times = time_grid(t_total, dt)
     n = len(times)
     poses: list[PlatformPose] = []
     pose_rates = np.empty((n, 2))
     pose_accels = np.empty((n, 2))
     targets = [np.asarray(tip, dtype=float) for _, tip in instruments]
-    builders = [
-        _TrackBuilder(_instrument_name(g), g, n) for g, _ in instruments
-    ]
+    builders = [_TrackBuilder(g, n) for g, _ in instruments]
 
     for i, t in enumerate(times):
         s_psi, v_psi, a_psi = sample_profile(profile_psi, t)
@@ -319,11 +321,11 @@ def plan_type4(
         pose_accels[i] = (a_psi, a_theta)
 
         for builder, target in zip(builders, targets):
-            geometry = builder.geometry
-            try:
+            geometry = builder.track.geometry
+            with _at_sample(t):
                 joints = ik_full(pose, target, geometry, branch)
                 pair = jacobians(pose, joints, geometry)
-                measure = builder.check_determinant(t, pair)
+                measure = builder.guard(pair.sigma)
                 qd = differential.compensation_rates(pair, v_psi, v_theta)
                 rates = InputRates(
                     q1_dot=qd[0],
@@ -337,10 +339,6 @@ def plan_type4(
                 b_dot = jacobian_rate(pose, joints, geometry, rates)
                 qdd = differential.compensation_accels(pair, b_dot, rates)
                 tip_now = fk_tip_fixed(pose, joints, geometry)
-            except KinematicsError as exc:
-                if exc.sample_time is None:
-                    raise _at_sample(t, exc) from None
-                raise
             builder.store(i, joints, qd, qdd, tip_now, measure)
 
     return MotionPlan(
@@ -350,7 +348,7 @@ def plan_type4(
         poses=tuple(poses),
         pose_rates=pose_rates,
         pose_accels=pose_accels,
-        instruments=tuple(b.finish() for b in builders),
+        instruments=tuple(b.track for b in builders),
     )
 
 
@@ -375,30 +373,18 @@ def _plan_joint_space(
     t_total = max(p.t_total for p in profiles)
     profiles = [stretch_profile(p, t_total) for p in profiles]
 
-    times = _time_grid(t_total, dt)
+    times = time_grid(t_total, dt)
     n = len(times)
-    builder = _TrackBuilder(_instrument_name(geometry), geometry, n)
+    builder = _TrackBuilder(geometry, n)
     origin = (start.q1, start.q2, start.q3)
 
     for i, t in enumerate(times):
-        sampled = [sample_profile(p, t) for p in profiles]
-        joints = SphericalJoints(*(o + s[0] for o, s in zip(origin, sampled)))
-        try:
-            pair = jacobians(pose, joints, geometry)
-            measure = builder.check_determinant(t, pair)
+        moved, rates, accels = zip(*(sample_profile(p, t) for p in profiles))
+        joints = SphericalJoints(*(o + s for o, s in zip(origin, moved)))
+        with _at_sample(t):
             tip_now = fk_tip_fixed(pose, joints, geometry)
-        except KinematicsError as exc:
-            if exc.sample_time is None:
-                raise _at_sample(t, exc) from None
-            raise
-        builder.store(
-            i,
-            joints,
-            [s[1] for s in sampled],
-            [s[2] for s in sampled],
-            tip_now,
-            measure,
-        )
+            measure = builder.guard(signed_measure(joints, geometry))
+        builder.store(i, joints, rates, accels, tip_now, measure)
 
     return MotionPlan(
         kind=kind,
@@ -407,7 +393,7 @@ def _plan_joint_space(
         poses=tuple([pose] * n),
         pose_rates=np.zeros((n, 2)),
         pose_accels=np.zeros((n, 2)),
-        instruments=(builder.finish(),),
+        instruments=(builder.track,),
     )
 
 

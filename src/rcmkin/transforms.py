@@ -60,26 +60,6 @@ def trans_z(d: float) -> np.ndarray:
     return m
 
 
-def translation(v) -> np.ndarray:
-    """Homogeneous translation by an arbitrary 3-vector."""
-    m = np.eye(4)
-    m[:3, 3] = np.asarray(v, dtype=float)
-    return m
-
-
-def homogeneous(rotation: np.ndarray, offset) -> np.ndarray:
-    """Assemble a rigid transform from a rotation block and a translation."""
-    m = np.eye(4)
-    m[:3, :3] = rotation
-    m[:3, 3] = np.asarray(offset, dtype=float)
-    return m
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compose homogeneous transforms (matrix product a @ b)."""
-    return a @ b
-
-
 def apply_point(m: np.ndarray, p) -> np.ndarray:
     """Apply a homogeneous transform to a 3D point."""
     return m[:3, :3] @ np.asarray(p, dtype=float) + m[:3, 3]
@@ -90,14 +70,10 @@ def last_column(m: np.ndarray) -> np.ndarray:
     return m[:3, 3].copy()
 
 
-def rotation_of(m: np.ndarray) -> np.ndarray:
-    """Rotation block of a homogeneous transform."""
-    return m[:3, :3].copy()
-
-
 def is_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     """True when r is orthonormal with determinant +1 within tol."""
     if r.shape != (3, 3):
         return False
     residual = float(np.abs(r.T @ r - np.eye(3)).max())
-    return residual <= tol and abs(float(np.linalg.det(r)) - 1.0) <= tol
+    det = float(np.cross(r[:, 0], r[:, 1]) @ r[:, 2])  # triple product of the columns
+    return residual <= tol and abs(det - 1.0) <= tol

@@ -1,9 +1,9 @@
 """Self-check oracles: independent recomputations of the core kinematic maps.
 
 Each check pits an implementation against an algorithmically independent
-route -- quaternion algebra, central finite differences, numeric root
-finding -- on seeded random inputs, and reports the worst observed error
-against a fixed tolerance.
+route -- quaternion algebra, central finite differences of the tip map and
+of B, numeric root finding -- on seeded random inputs, and reports the
+worst observed error against a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import differential
+from .differential import InputRates
 from .platform import PlatformPose
 from .spherical import (
     IkBranch,
@@ -177,6 +178,18 @@ def check_fk_ik_roundtrip(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleRes
     return OracleResult("fk-ik-roundtrip", worst, 1e-9, n)
 
 
+def _shifted(
+    pose: PlatformPose, joints: SphericalJoints, d: np.ndarray
+) -> tuple[PlatformPose, SphericalJoints]:
+    """Pose and joints moved by d over (q1, q2, q3, psi, theta), radians and mm."""
+    dq1, dq2, dq3, dpsi, dtheta = d.tolist()  # plain floats: fast scalar FK
+    dq1, dq2, dpsi, dtheta = map(math.degrees, (dq1, dq2, dpsi, dtheta))
+    return (
+        PlatformPose(pose.x, pose.y, pose.z, pose.psi + dpsi, pose.theta + dtheta, pose.phi),
+        SphericalJoints(joints.q1 + dq1, joints.q2 + dq2, joints.q3 + dq3),
+    )
+
+
 def finite_difference_b(
     pose: PlatformPose,
     joints: SphericalJoints,
@@ -184,23 +197,32 @@ def finite_difference_b(
     step: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference B over (q1, q2, q3, psi, theta), radians and mm."""
-    h_deg = math.degrees(step)
 
-    def tip(dq1=0.0, dq2=0.0, dq3=0.0, dpsi=0.0, dtheta=0.0):
-        shifted_pose = PlatformPose(
-            pose.x, pose.y, pose.z, pose.psi + dpsi, pose.theta + dtheta, pose.phi
-        )
-        shifted = SphericalJoints(joints.q1 + dq1, joints.q2 + dq2, joints.q3 + dq3)
-        return fk_tip_fixed(shifted_pose, shifted, geometry)
+    def tip(d: np.ndarray) -> np.ndarray:
+        return fk_tip_fixed(*_shifted(pose, joints, d), geometry)
 
-    columns = [
-        (tip(dq1=h_deg) - tip(dq1=-h_deg)) / (2 * step),
-        (tip(dq2=h_deg) - tip(dq2=-h_deg)) / (2 * step),
-        (tip(dq3=step) - tip(dq3=-step)) / (2 * step),
-        (tip(dpsi=h_deg) - tip(dpsi=-h_deg)) / (2 * step),
-        (tip(dtheta=h_deg) - tip(dtheta=-h_deg)) / (2 * step),
-    ]
-    return np.column_stack(columns)
+    return np.column_stack([(tip(d) - tip(-d)) / (2 * step) for d in step * np.eye(5)])
+
+
+def finite_difference_b_rate(
+    pose: PlatformPose,
+    joints: SphericalJoints,
+    geometry: SphericalGeometry,
+    rates: InputRates,
+    step: float = 1e-5,
+) -> np.ndarray:
+    """Central-difference time derivative of B along the input rates; the
+    step is scaled so the largest perturbed input moves by ``step``."""
+    qdot = rates.rates_internal()
+    scale = float(np.abs(qdot).max())
+    if scale < 1e-15:
+        return np.zeros((3, 5))
+    h = step / scale
+
+    def b_at(d: np.ndarray) -> np.ndarray:
+        return differential.jacobians(*_shifted(pose, joints, d), geometry).b
+
+    return (b_at(h * qdot) - b_at(-h * qdot)) / (2.0 * h)
 
 
 def check_jacobian_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
@@ -215,6 +237,21 @@ def check_jacobian_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
         worst = max(worst, float(rel.max()))
     return OracleResult("jacobian-fd", worst, 1e-6, n)
+
+
+def check_jacobian_rate_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
+    """Analytic B-dot against central finite differences of B."""
+    rng = np.random.default_rng(seed + 6)
+    worst = 0.0
+    for _ in range(n):
+        pose, g = _random_pose(rng), _random_geometry(rng)
+        joints = _random_joints(rng)
+        rates = InputRates(*rng.uniform(-20, 20, 5))
+        analytic = differential.jacobian_rate(pose, joints, g, rates)
+        numeric = finite_difference_b_rate(pose, joints, g, rates)
+        rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+        worst = max(worst, float(rel.max()))
+    return OracleResult("jacobian-rate-fd", worst, 1e-6, n)
 
 
 def check_numeric_ik(n: int = 100, seed: int = DEFAULT_SEED) -> OracleResult:
@@ -255,6 +292,7 @@ def run_all(seed: int = DEFAULT_SEED) -> list[OracleResult]:
         check_dual_path_fk(seed=seed),
         check_fk_ik_roundtrip(seed=seed),
         check_jacobian_fd(seed=seed),
+        check_jacobian_rate_fd(seed=seed),
         check_numeric_ik(seed=seed),
     ]
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmkin import cli
 from rcmkin.csvio import read_plan_csv
+from rcmkin.trajectory import time_grid
 
 DEMO = "reorientation_demo"
 
@@ -137,6 +143,82 @@ def test_profile_sampling(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("shape=triangle")
     assert len(lines) > 3
+
+
+def test_profile_samples_the_planner_grid(capsys):
+    assert cli.main(["profile", "--delta", "25", "--dt", "0.7"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    times = time_grid(4.5, 0.7)
+    assert len(rows) == len(times) == 8
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx(times, abs=1e-9)
+
+
+def _single_error_line(err: str) -> bool:
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fk", "--pose=nan,0,-500,0,0,0", "--joints", "0,0,100"],
+        ["fk", "--pose=0,0,-500,0,0,0", "--joints", "0,0,100", "--alpha", "95"],
+        ["ik", "--pose=0,0,-500,0,0,0", "--tip", "0,0,-600", "--beta", "nan"],
+    ],
+)
+def test_bad_query_input_is_config_error(argv, capsys):
+    assert cli.main(argv) == 1
+    assert _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", DEMO, "--dt", "1e-9"],
+        ["run", DEMO, "--dt", "0"],
+        ["profile", "--delta", "25", "--dt", "1e-9"],
+        ["profile", "--delta", "25", "--dt", "nan"],
+    ],
+)
+def test_bad_sample_step_is_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if argv[0] == "run":
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert _single_error_line(captured.err)
+    assert captured.out == "" and not out.exists()
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _floats(count):
+    return st.lists(_ANY_FLOAT, min_size=count, max_size=count).map(
+        lambda values: ",".join(repr(v) for v in values)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["fk", "ik"]),
+    pose=_floats(6),
+    point=_floats(3),
+    alpha=_ANY_FLOAT,
+    beta=_ANY_FLOAT,
+)
+def test_query_on_arbitrary_floats_never_raises(command, pose, point, alpha, beta):
+    point_flag = "--joints" if command == "fk" else "--tip"
+    argv = [command, f"--pose={pose}", f"{point_flag}={point}",
+            f"--alpha={alpha!r}", f"--beta={beta!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert len(out.getvalue().strip().split(",")) == 3
+    else:
+        assert _single_error_line(err.getvalue())
 
 
 def test_usage_error_exits_1(capsys):

@@ -12,6 +12,8 @@ def test_format_number_basics():
     assert format_number(-15.0) == "-15.00000000"
     assert format_number(0.01) == "0.01000000000"
     assert format_number(123.4567890123) == "123.4567890"
+    assert format_number(np.float64("nan")) == "nan"
+    assert format_number(np.float64("-inf")) == "-inf"
 
 
 def test_format_number_round_trip_relative(rng):

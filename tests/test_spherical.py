@@ -87,6 +87,9 @@ def test_joint_limit_errors():
         module_matrix(SphericalJoints(95, 0, 100), g)
     with pytest.raises(JointLimitError):
         module_matrix(SphericalJoints(0, 0, 500), g)
+    for nan_joints in ((math.nan, 0, 100), (0, math.nan, 100), (0, 0, math.nan)):
+        with pytest.raises(JointLimitError):
+            module_matrix(SphericalJoints(*nan_joints), g)
 
 
 def test_fk_trivial_straight_down():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from rcmkin import differential, validation
@@ -10,6 +12,7 @@ def test_all_oracles_pass_reduced_counts():
         validation.check_dual_path_fk(n=500),
         validation.check_fk_ik_roundtrip(n=500),
         validation.check_jacobian_fd(n=100),
+        validation.check_jacobian_rate_fd(n=100),
         validation.check_numeric_ik(n=20),
     ]
     for result in results:
@@ -24,9 +27,7 @@ def test_jacobian_oracle_detects_injected_fault(monkeypatch):
         pair = true_jacobians(pose, joints, geometry)
         b = pair.b.copy()
         b[0, 0] += 1e-3
-        return differential.JacobianPair(
-            a=pair.a, b=b, b_q_unit=pair.b_q_unit, char_len=pair.char_len
-        )
+        return replace(pair, b=b)
 
     monkeypatch.setattr(differential, "jacobians", corrupted)
     result = validation.check_jacobian_fd(n=20)
