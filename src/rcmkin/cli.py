@@ -188,8 +188,8 @@ def _cmd_profile(args) -> int:
         f"t_cruise={fmt(prof.t_cruise)} t_total={fmt(prof.t_total)} "
         f"peak_rate={fmt(prof.peak_rate)}"
     )
-    for t in times:
-        print(",".join(fmt(x) for x in (t, *sample_profile(prof, t))))
+    for row in zip(times, *sample_profile(prof, times)):
+        print(",".join(fmt(x) for x in row))
     return EXIT_OK
 
 

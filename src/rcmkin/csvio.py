@@ -66,22 +66,12 @@ def plan_rows(
 ) -> Iterable[list[float]]:
     """Row values matching plan_header, one list per sample."""
     for i, t in enumerate(plan.time):
-        pose = plan.poses[i]
+        pose = plan.pose_grid[i]
         if subset == "fig5":
-            row = [t, pose.psi, pose.theta, *plan.pose_rates[i], *plan.pose_accels[i]]
+            row = [t, *pose[3:5], *plan.pose_rates[i], *plan.pose_accels[i]]
         else:
             if subset is None:
-                row = [
-                    t,
-                    pose.x,
-                    pose.y,
-                    pose.z,
-                    pose.psi,
-                    pose.theta,
-                    pose.phi,
-                    *plan.pose_rates[i],
-                    *plan.pose_accels[i],
-                ]
+                row = [t, *pose, *plan.pose_rates[i], *plan.pose_accels[i]]
             else:
                 row = [t]
             for track in plan.instruments:

@@ -311,11 +311,9 @@ def bundled_scenario(name: str) -> Scenario:
 def endoscope_tips(plan: MotionPlan, insertion: float) -> np.ndarray:
     """Fixed-frame endoscope tip per sample for a pass-through insertion
     depth along the platform -Z' axis."""
-    tips = np.empty((plan.samples, 3))
-    for i, pose in enumerate(plan.poses):
-        rotation = euler_xyz(*pose.angles_rad)
-        tips[i] = rotation @ np.array([0.0, 0.0, -insertion]) + pose.position
-    return tips
+    position, angles = plan.pose_grid[:, :3], np.radians(plan.pose_grid[:, 3:])
+    rotation = euler_xyz(angles[:, 0], angles[:, 1], angles[:, 2])
+    return rotation @ np.array([0.0, 0.0, -insertion]) + position
 
 
 def run_scenario(scenario: Scenario) -> tuple[MotionPlan, np.ndarray | None]:

@@ -10,6 +10,12 @@ evaluates the scalar direction-cosine expansion of the tip map, while
 ``fk_tip_fixed_chain`` composes the homogeneous transforms. They must agree
 to floating-point level and are cross-checked in the test suite.
 
+The closed-form IK has a scalar body (``ik_tip_platform``, ``ik_full``) and
+an array form over a block of platform rotations (``ik_grid``), which the
+planners use. Its checks come in two forms with the same comparisons:
+``check_ik`` raises for one solved sample, ``ik_faults`` flags the samples
+of a grid that ``check_ik`` would reject.
+
 Interface units are degrees and millimetres; radians appear only internally.
 """
 
@@ -38,6 +44,10 @@ REACH_TOL = 1e-12
 
 #: Below this tip-vector norm (mm) the insertion direction is undefined.
 MIN_TIP_NORM = 1e-9
+
+#: Bound (mm) on the magnitude of tip and platform coordinates given to
+#: ``ik_full``; below it no step of the IK can overflow.
+MAX_COORDINATE = 1e300
 
 
 class IkBranch(Enum):
@@ -72,19 +82,24 @@ class SphericalGeometry:
             raise ValueError("alpha magnitude must be below 90 deg")
         if not 0.0 <= self.beta < 90.0:
             raise ValueError("beta must lie in [0, 90) deg")
-        if self.radius <= 0.0:
+        # Written so that NaN fails every test.
+        if not self.radius > 0.0:
             raise ValueError("radius must be positive")
-        if self.q3_min < 0.0:
+        if not self.q3_min >= 0.0:
             raise ValueError("q3_min must be non-negative")
-        if self.q3_max <= self.q3_min:
+        if not self.q3_max > self.q3_min:
             raise ValueError("q3_max must exceed q3_min")
-        if self.q1_limit <= 0.0 or self.q2_limit <= 0.0:
+        if not (self.q1_limit > 0.0 and self.q2_limit > 0.0):
             raise ValueError("joint travel limits must be positive")
 
 
 @dataclass(frozen=True)
 class SphericalJoints:
-    """Active joint values: q1, q2 in degrees, q3 insertion depth in mm."""
+    """Active joint values: q1, q2 in degrees, q3 insertion depth in mm.
+
+    The grid kernels fill the fields with arrays of one shape, one entry per
+    sample of the time grid.
+    """
 
     q1: float
     q2: float
@@ -138,6 +153,16 @@ def check_joints(joints: SphericalJoints, geometry: SphericalGeometry) -> None:
         raise JointLimitError(
             f"q3 = {joints.q3:.6g} mm outside [{geometry.q3_min:g}, {geometry.q3_max:g}] mm"
         )
+
+
+def joint_faults(joints: SphericalJoints, geometry: SphericalGeometry) -> np.ndarray:
+    """Mask of the samples of a joint grid that check_joints rejects (the same
+    comparisons, so NaN is flagged too)."""
+    return (
+        ~(np.abs(joints.q1) <= geometry.q1_limit)
+        | ~(np.abs(joints.q2) <= geometry.q2_limit)
+        | ~((geometry.q3_min <= joints.q3) & (joints.q3 <= geometry.q3_max))
+    )
 
 
 def module_matrix(joints: SphericalJoints, geometry: SphericalGeometry) -> np.ndarray:
@@ -210,6 +235,66 @@ def fk_tip_fixed_chain(
     return last_column(platform_matrix(pose) @ port @ module_matrix(joints, geometry))
 
 
+def check_ik(joints: SphericalJoints, sin_q2: float, geometry: SphericalGeometry) -> None:
+    """The checks of the closed-form IK on one solved sample, in order: a
+    defined insertion direction, a reachable tip, joints within travel."""
+    if joints.q3 < MIN_TIP_NORM:
+        raise DegenerateInputError(
+            f"tip vector norm {joints.q3:.3g} mm is below {MIN_TIP_NORM:g} mm"
+        )
+    if abs(sin_q2) > 1.0 + REACH_TOL:
+        raise UnreachableError(
+            f"tip direction outside the insertion cone (|sin q2| = {abs(sin_q2):.9g})"
+        )
+    check_joints(joints, geometry)
+
+
+def ik_faults(
+    joints: SphericalJoints, sin_q2: np.ndarray, geometry: SphericalGeometry
+) -> np.ndarray:
+    """Mask of the samples of an ik_grid solution that check_ik rejects."""
+    return (
+        (joints.q3 < MIN_TIP_NORM)
+        | (np.abs(sin_q2) > 1.0 + REACH_TOL)
+        | joint_faults(joints, geometry)
+    )
+
+
+def ik_grid(
+    rotation: np.ndarray,
+    position: np.ndarray,
+    tip_fixed,
+    geometry: SphericalGeometry,
+    branch: IkBranch = IkBranch.PRINCIPAL,
+) -> tuple[SphericalJoints, np.ndarray]:
+    """Unchecked closed-form IK over stacked platform rotations (n, 3, 3).
+
+    The array form of ``ik_full`` without its checks: returns the joint grid
+    and sin q2 before clamping, for ik_faults on the whole grid or check_ik
+    on one sample; rejected samples hold arbitrary values.
+    """
+    d = np.asarray(tip_fixed, dtype=float) - position
+    v = np.swapaxes(rotation, -1, -2) @ d - geometry.port.offset_vec
+    q3 = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])  # overflow-safe norm
+    w = (v / -np.maximum(q3, MIN_TIP_NORM)[:, None]) @ rot_y(
+        -math.radians(geometry.alpha)
+    ).T
+    cb = math.cos(math.radians(geometry.beta))
+    sin_q2 = w[:, 0] / cb
+    q2 = np.arcsin(np.clip(sin_q2, -1.0, 1.0))
+    if branch is IkBranch.MIRROR:
+        q2 = math.pi - q2
+        q2 = np.where(q2 > math.pi, q2 - 2.0 * math.pi, q2)
+    ay = -math.sin(math.radians(geometry.beta))
+    az = np.cos(q2) * cb
+    q1 = np.where(
+        np.hypot(ay, az) < 1e-15,
+        0.0,  # tip along the q1 axis; q1 is free, pick zero
+        np.arctan2(ay * w[:, 2] - az * w[:, 1], ay * w[:, 1] + az * w[:, 2]),
+    )
+    return SphericalJoints(np.degrees(q1), np.degrees(q2), q3), sin_q2
+
+
 def ik_tip_platform(
     v, geometry: SphericalGeometry, branch: IkBranch = IkBranch.PRINCIPAL
 ) -> SphericalJoints:
@@ -218,23 +303,15 @@ def ik_tip_platform(
     q3 is the tip distance. Rotating the unit insertion direction back by
     alpha leaves sin(q2) on the X component (scaled by cos beta); the branch
     picks the principal or supplementary arcsine solution. q1 then aligns
-    the remaining Y-Z direction by atan2.
+    the remaining Y-Z direction by atan2. ``ik_grid`` is the same solution
+    over arrays; one sample of it costs twice this scalar body.
     """
     v = np.asarray(v, dtype=float)
-    q3 = float(np.linalg.norm(v))
-    if q3 < MIN_TIP_NORM:
-        raise DegenerateInputError(
-            f"tip vector norm {q3:.3g} mm is below {MIN_TIP_NORM:g} mm"
-        )
-    w = rot_y(-math.radians(geometry.alpha)) @ (-v / q3)
+    q3 = math.hypot(*v.tolist())  # overflow-safe norm
+    w = rot_y(-math.radians(geometry.alpha)) @ (-v / max(q3, MIN_TIP_NORM))
     cb = math.cos(math.radians(geometry.beta))
-    sin_q2 = w[0] / cb
-    if abs(sin_q2) > 1.0 + REACH_TOL:
-        raise UnreachableError(
-            f"tip direction outside the insertion cone (|sin q2| = {abs(sin_q2):.9g})"
-        )
-    sin_q2 = min(1.0, max(-1.0, sin_q2))
-    q2 = math.asin(sin_q2)
+    sin_q2 = float(w[0]) / cb
+    q2 = math.asin(min(1.0, max(-1.0, sin_q2)))
     if branch is IkBranch.MIRROR:
         q2 = math.pi - q2
         if q2 > math.pi:
@@ -246,7 +323,7 @@ def ik_tip_platform(
     else:
         q1 = math.atan2(ay * w[2] - az * w[1], ay * w[1] + az * w[2])
     joints = SphericalJoints(math.degrees(q1), math.degrees(q2), q3)
-    check_joints(joints, geometry)
+    check_ik(joints, sin_q2, geometry)
     return joints
 
 
@@ -262,7 +339,12 @@ def ik_full(
     frame, then solve the module chain in closed form.
     """
     check_pose(pose)
+    tip = np.asarray(tip_fixed, dtype=float)
+    if not all(abs(c) < MAX_COORDINATE for c in (*tip.tolist(), pose.x, pose.y, pose.z)):
+        raise UnreachableError(
+            f"tip and platform coordinates must be finite and below "
+            f"{MAX_COORDINATE:g} mm in magnitude"
+        )
     rotation = euler_xyz(*pose.angles_rad)
-    v = rotation.T @ (np.asarray(tip_fixed, dtype=float) - pose.position)
-    v -= geometry.port.offset_vec
+    v = rotation.T @ (tip - pose.position) - geometry.port.offset_vec
     return ik_tip_platform(v, geometry, branch)

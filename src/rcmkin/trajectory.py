@@ -2,10 +2,14 @@
 
 The reorientation planner (type 4) tilts the platform by (delta_psi,
 delta_theta) while every configured instrument holds its tip position:
-joints come from per-sample closed-form IK (drift free), rates from the
+joints come from closed-form IK at every sample (drift free), rates from the
 compensation solver, accelerations from the differentiated velocity
 relation. Insertion (type 2) and joint-space (type 3) planners run plain
 synchronized trapezoids without compensation and without building B.
+
+Both planners evaluate the time grid as array kernels, not sample by
+sample, in blocks of at most ``_BLOCK`` samples so that memory stays bounded
+up to ``MAX_SAMPLES``.
 
 Plans are rejected -- with the offending sample time attached -- when a
 sample is unreachable, violates a joint limit, or is singular, or when the
@@ -14,6 +18,13 @@ consecutive samples (the plan would cross a singularity between them).
 Along a type 2/3 trapezoid q2 is monotone, so a +/-90 deg crossing is
 caught at the first sample past it. A type 4 plan holds one IK branch, on
 which cos q2 keeps its sign, so only the |sigma| threshold can fire there.
+Each block is screened with masks that make the same comparisons as the
+checks (``ik_faults``, ``joint_faults``, ``singular_faults``, the gimbal
+margin), with sigma's sign carried across blocks. The earliest flagged
+sample wins, at equal samples the first instrument, and its checks are
+replayed on its grid values inside ``_at_sample``: a rejection raises the
+error, message and sample time that checking sample by sample would, and
+nothing after the failing block is computed.
 """
 
 from __future__ import annotations
@@ -21,33 +32,33 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from . import differential
 from .differential import (
-    InputRates,
     check_nonsingular,
-    jacobian_rate,
-    jacobians,
+    check_same_sign,
+    compensation_grid,
+    module_partials,
+    platform_partials,
     signed_measure,
+    singular_faults,
+    tip_grid,
 )
-from .errors import (
-    InvalidLimitsError,
-    KinematicsError,
-    ProfileRangeError,
-    SingularConfigurationError,
-)
-from .platform import PlatformPose, check_pose
+from .errors import InvalidLimitsError, KinematicsError, ProfileRangeError
+from .platform import GIMBAL_MARGIN_DEG, PlatformPose, check_pose
 from .spherical import (
     IkBranch,
     SphericalGeometry,
     SphericalJoints,
+    check_ik,
     check_joints,
-    fk_tip_fixed,
-    ik_full,
+    ik_faults,
+    ik_grid,
+    joint_faults,
 )
 
 #: Grid-snapping slack when deciding how many dt steps cover a duration.
@@ -55,6 +66,9 @@ _GRID_TOL = 1e-9
 
 #: Most samples one time grid may hold; larger requests fail before allocating.
 MAX_SAMPLES = 1_000_000
+
+#: Most samples the planners evaluate at once.
+_BLOCK = 1024
 
 
 class MotionType(Enum):
@@ -157,21 +171,35 @@ def stretch_profile(profile: TrapezoidProfile, t_total: float) -> TrapezoidProfi
     )
 
 
-def sample_profile(profile: TrapezoidProfile, t: float) -> tuple[float, float, float]:
-    """Displacement, rate, and acceleration at time t within the profile."""
-    if not -_GRID_TOL <= t <= profile.t_total + _GRID_TOL:
+def sample_profile(profile: TrapezoidProfile, t):
+    """Displacement, rate, and acceleration at time t within the profile.
+
+    ``t`` may be an array of times; the three results then have its shape.
+    """
+    t = np.asarray(t, dtype=float)
+    outside = ~((-_GRID_TOL <= t) & (t <= profile.t_total + _GRID_TOL))
+    if outside.any():
         raise ProfileRangeError(
-            f"t = {t:.9g} s outside the profile domain [0, {profile.t_total:.9g}] s"
+            f"t = {t[outside][0]:.9g} s outside the profile domain "
+            f"[0, {profile.t_total:.9g}] s"
         )
-    t = min(max(t, 0.0), profile.t_total)
-    accel, peak = profile.accel, profile.peak_rate
-    if t < profile.t_acc:
-        return 0.5 * accel * t * t, accel * t, accel
-    if t < profile.t_acc + profile.t_cruise:
-        ramp = 0.5 * accel * profile.t_acc * profile.t_acc
-        return ramp + peak * (t - profile.t_acc), peak, 0.0
+    t = np.clip(t, 0.0, profile.t_total)
+    accel, peak, t_acc = profile.accel, profile.peak_rate, profile.t_acc
+    ramp = t < t_acc
+    cruise = ~ramp & (t < t_acc + profile.t_cruise)
     tail = profile.t_total - t
-    return profile.delta - 0.5 * accel * tail * tail, accel * tail, -accel
+    s = np.where(
+        ramp,
+        0.5 * accel * t * t,
+        np.where(
+            cruise,
+            0.5 * accel * t_acc * t_acc + peak * (t - t_acc),
+            profile.delta - 0.5 * accel * tail * tail,
+        ),
+    )
+    v = np.where(ramp, accel * t, np.where(cruise, peak, accel * tail))
+    a = np.where(ramp, accel, np.where(cruise, 0.0, -accel))
+    return s[()], v[()], a[()]
 
 
 @dataclass(frozen=True)
@@ -200,10 +228,15 @@ class MotionPlan:
     kind: MotionType
     dt: float
     time: np.ndarray  # (n,) seconds
-    poses: tuple[PlatformPose, ...]
+    pose_grid: np.ndarray  # (n, 6): x, y, z in mm, psi, theta, phi in deg
     pose_rates: np.ndarray  # (n, 2): psi_dot, theta_dot in deg/s
     pose_accels: np.ndarray  # (n, 2): deg/s^2
     instruments: tuple[InstrumentTrack, ...]
+
+    @cached_property
+    def poses(self) -> tuple[PlatformPose, ...]:
+        """The rows of pose_grid as poses, built on first use."""
+        return tuple(PlatformPose(*row) for row in self.pose_grid.tolist())
 
     @property
     def duration(self) -> float:
@@ -234,50 +267,50 @@ def time_grid(t_total: float, dt: float) -> np.ndarray:
 
 @contextmanager
 def _at_sample(t: float):
-    """Re-raise a kinematic failure inside the block with the sample time."""
+    """Replay the checks of a flagged sample: the first failing check is
+    re-raised with the sample time. One of them must fail."""
     try:
         yield
     except KinematicsError as exc:
         wrapped = type(exc)(f"at sample t = {t:.9g} s: {exc}")
         wrapped.sample_time = t
         raise wrapped from None
+    raise AssertionError(f"sample t = {t!r} s was flagged but passed its checks")
 
 
-class _TrackBuilder:
-    """Fills one instrument's track row by row and enforces the singularity
-    guard."""
+def _first_fault(faults: list[np.ndarray]) -> tuple[int, int] | None:
+    """(sample, instrument) of the earliest sample flagged in one mask per
+    instrument; at equal samples the first instrument. None if none is."""
+    if not faults:
+        return None
+    flagged = np.stack(faults, axis=1)
+    rows = np.flatnonzero(flagged.any(axis=1))
+    if rows.size == 0:
+        return None
+    return rows[0], int(np.argmax(flagged[rows[0]]))
 
-    def __init__(self, geometry: SphericalGeometry, samples: int):
-        self.track = InstrumentTrack(
-            geometry.port.side.value,
-            geometry,
-            np.empty((samples, 3)),
-            np.zeros((samples, 3)),
-            np.zeros((samples, 3)),
-            np.empty((samples, 3)),
-            np.empty(samples),
-        )
-        self._prev_sigma = None
 
-    def guard(self, sigma: float) -> float:
-        """|sigma| of this sample, checked against the threshold and against
-        a sign change since the previous sample."""
-        measure = check_nonsingular(sigma)
-        if self._prev_sigma is not None and sigma * self._prev_sigma < 0.0:
-            raise SingularConfigurationError(
-                "joint-block determinant changed sign since the previous "
-                "sample; the motion crosses a singularity between samples"
-            )
-        self._prev_sigma = sigma
-        return measure
+def _row(joints: SphericalJoints, i: int) -> SphericalJoints:
+    return SphericalJoints(joints.q1[i], joints.q2[i], joints.q3[i])
 
-    def store(self, i, joints, rates, accels, tip, measure):
-        track = self.track
-        track.joints[i] = (joints.q1, joints.q2, joints.q3)
-        track.rates[i] = rates
-        track.accels[i] = accels
-        track.tip[i] = tip
-        track.sing[i] = measure
+
+def _guard(sigma: np.ndarray, i: int, previous: float | None) -> None:
+    """The singularity guard of sample i of a sigma grid; ``previous`` is the
+    sigma before the grid's first sample."""
+    check_nonsingular(sigma[i])
+    check_same_sign(previous if i == 0 else sigma[i - 1], sigma[i])
+
+
+def _empty_track(geometry: SphericalGeometry, samples: int) -> InstrumentTrack:
+    return InstrumentTrack(
+        geometry.port.side.value,
+        geometry,
+        np.empty((samples, 3)),
+        np.empty((samples, 3)),
+        np.empty((samples, 3)),
+        np.empty((samples, 3)),
+        np.empty(samples),
+    )
 
 
 def plan_type4(
@@ -306,49 +339,60 @@ def plan_type4(
 
     times = time_grid(t_total, dt)
     n = len(times)
-    poses: list[PlatformPose] = []
-    pose_rates = np.empty((n, 2))
-    pose_accels = np.empty((n, 2))
+    s_psi, v_psi, a_psi = sample_profile(profile_psi, times)
+    s_theta, v_theta, a_theta = sample_profile(profile_theta, times)
+    psi, theta = start.psi + s_psi, start.theta + s_theta
+    pose_rates = np.column_stack([v_psi, v_theta])
+    pose_accels = np.column_stack([a_psi, a_theta])
+    position = start.position
     targets = [np.asarray(tip, dtype=float) for _, tip in instruments]
-    builders = [_TrackBuilder(g, n) for g, _ in instruments]
+    tracks = [_empty_track(g, n) for g, _ in instruments]
+    last_sigma = [None] * len(tracks)
 
-    for i, t in enumerate(times):
-        s_psi, v_psi, a_psi = sample_profile(profile_psi, t)
-        s_theta, v_theta, a_theta = sample_profile(profile_theta, t)
-        pose = replace(start, psi=start.psi + s_psi, theta=start.theta + s_theta)
-        poses.append(pose)
-        pose_rates[i] = (v_psi, v_theta)
-        pose_accels[i] = (a_psi, a_theta)
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        r = platform_partials(psi[block], theta[block], start.phi, 2)
+        gimbal = np.abs(theta[block]) >= 90.0 - GIMBAL_MARGIN_DEG  # check_pose
+        solved = []
+        for track, target, previous in zip(tracks, targets, last_sigma):
+            joints, sin_q2 = ik_grid(r[0, 0], position, target, track.geometry, branch)
+            sigma = signed_measure(joints, track.geometry)
+            faults = (
+                gimbal
+                | ik_faults(joints, sin_q2, track.geometry)
+                | singular_faults(sigma, previous)
+            )
+            solved.append((joints, sin_q2, sigma, faults))
 
-        for builder, target in zip(builders, targets):
-            geometry = builder.track.geometry
-            with _at_sample(t):
-                joints = ik_full(pose, target, geometry, branch)
-                pair = jacobians(pose, joints, geometry)
-                measure = builder.guard(pair.sigma)
-                qd = differential.compensation_rates(pair, v_psi, v_theta)
-                rates = InputRates(
-                    q1_dot=qd[0],
-                    q2_dot=qd[1],
-                    q3_dot=qd[2],
-                    psi_dot=v_psi,
-                    theta_dot=v_theta,
-                    psi_ddot=a_psi,
-                    theta_ddot=a_theta,
-                )
-                b_dot = jacobian_rate(pose, joints, geometry, rates)
-                qdd = differential.compensation_accels(pair, b_dot, rates)
-                tip_now = fk_tip_fixed(pose, joints, geometry)
-            builder.store(i, joints, qd, qdd, tip_now, measure)
+        hit = _first_fault([faults for *_, faults in solved])
+        if hit is not None:
+            i, k = hit
+            joints, sin_q2, sigma, _ = solved[k]
+            with _at_sample(times[lo + i]):
+                check_pose(replace(start, psi=psi[lo + i], theta=theta[lo + i]))
+                check_ik(_row(joints, i), sin_q2[i], tracks[k].geometry)
+                _guard(sigma, i, last_sigma[k])
+
+        for k, (track, (joints, _, sigma, _)) in enumerate(zip(tracks, solved)):
+            m = module_partials(joints.q1, joints.q2, track.geometry, 2)
+            track.joints[block] = np.column_stack([joints.q1, joints.q2, joints.q3])
+            track.rates[block], track.accels[block] = compensation_grid(
+                r, m, joints.q3, track.geometry, pose_rates[block], pose_accels[block]
+            )
+            track.tip[block] = tip_grid(r, m, joints.q3, track.geometry, position)
+            track.sing[block] = np.abs(sigma)
+            last_sigma[k] = sigma[-1]
 
     return MotionPlan(
         kind=MotionType.REORIENT,
         dt=dt,
         time=times,
-        poses=tuple(poses),
+        pose_grid=np.column_stack(
+            np.broadcast_arrays(start.x, start.y, start.z, psi, theta, start.phi)
+        ),
         pose_rates=pose_rates,
         pose_accels=pose_accels,
-        instruments=tuple(b.track for b in builders),
+        instruments=tuple(tracks),
     )
 
 
@@ -375,25 +419,37 @@ def _plan_joint_space(
 
     times = time_grid(t_total, dt)
     n = len(times)
-    builder = _TrackBuilder(geometry, n)
+    track = _empty_track(geometry, n)
     origin = (start.q1, start.q2, start.q3)
+    for column, profile in enumerate(profiles):
+        moved, track.rates[:, column], track.accels[:, column] = sample_profile(profile, times)
+        track.joints[:, column] = origin[column] + moved
+    r = platform_partials(pose.psi, pose.theta, pose.phi, 0)
+    previous = None
 
-    for i, t in enumerate(times):
-        moved, rates, accels = zip(*(sample_profile(p, t) for p in profiles))
-        joints = SphericalJoints(*(o + s for o, s in zip(origin, moved)))
-        with _at_sample(t):
-            tip_now = fk_tip_fixed(pose, joints, geometry)
-            measure = builder.guard(signed_measure(joints, geometry))
-        builder.store(i, joints, rates, accels, tip_now, measure)
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        joints = SphericalJoints(*track.joints[block].T)
+        sigma = signed_measure(joints, geometry)
+        faults = joint_faults(joints, geometry) | singular_faults(sigma, previous)
+        if faults.any():
+            i = int(np.argmax(faults))
+            with _at_sample(times[lo + i]):
+                check_joints(_row(joints, i), geometry)
+                _guard(sigma, i, previous)
+        m = module_partials(joints.q1, joints.q2, geometry, 0)
+        track.tip[block] = tip_grid(r, m, joints.q3, geometry, pose.position)
+        track.sing[block] = np.abs(sigma)
+        previous = sigma[-1]
 
     return MotionPlan(
         kind=kind,
         dt=dt,
         time=times,
-        poses=tuple([pose] * n),
+        pose_grid=np.tile([pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi], (n, 1)),
         pose_rates=np.zeros((n, 2)),
         pose_accels=np.zeros((n, 2)),
-        instruments=(builder.track,),
+        instruments=(track,),
     )
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,18 @@ def test_bad_sample_step_is_config_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert _single_error_line(captured.err)
     assert captured.out == "" and not out.exists()
+
+
+def test_ik_far_tip_reports_its_finite_distance(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["ik", "--pose=0,0,-500,0,0,0", "--tip=1e200,1e200,0"])
+    assert code == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)
+    assert "q3 = 1.41421e+200 mm" in captured.err
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)

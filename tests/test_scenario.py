@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmkin import (
     IkBranch,
     MotionType,
+    Scenario,
+    ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
     bundled_scenario,
@@ -11,6 +15,7 @@ from rcmkin import (
     parse_scenario,
     run_scenario,
 )
+from rcmkin import scenario as scenario_module
 
 MINIMAL_TYPE4 = """
 motion = type4
@@ -150,3 +155,30 @@ def test_start_joints_must_be_numeric():
     text = "motion = type3\npose = 0 0 -500 0 0 0\ninstrument = left\nstart_joints = a b c\ntarget_joints = 0 0 100\n"
     with pytest.raises(ScenarioParseError):
         parse_scenario(text)
+
+
+_KEYS = sorted(scenario_module._KNOWN_KEYS) + ["unknown", "Pose", ""]
+_WORDS = ["type2", "type3", "type4", "left", "right", "principal", "mirror", "true", "nan"]
+_NUMBER = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_VALUE = st.one_of(
+    st.lists(_NUMBER, min_size=1, max_size=7).map(" ".join),
+    st.sampled_from(_WORDS),
+    st.text(max_size=12),
+)
+_LINE = st.one_of(
+    st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(_KEYS), _VALUE),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.sampled_from(["", "motion = type4\npose = 0 0 -500 0 0 0", MINIMAL_TYPE4]),
+    lines=st.lists(_LINE, max_size=14),
+)
+def test_parser_raises_only_scenario_errors(head, lines):
+    try:
+        result = parse_scenario("\n".join([head, *lines]))
+    except ScenarioError:
+        return
+    assert isinstance(result, Scenario)

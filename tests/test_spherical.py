@@ -145,6 +145,14 @@ def test_ik_unreachable_outside_cone():
 def test_ik_degenerate_zero_vector():
     with pytest.raises(DegenerateInputError):
         ik_tip_platform([0.0, 0.0, 1e-12], left_geometry())
+    with pytest.raises(DegenerateInputError):
+        ik_tip_platform([0.0, 0.0, 0.0], left_geometry())
+
+
+@pytest.mark.parametrize("coordinate", [1e300, -math.inf, math.nan])
+def test_ik_full_rejects_coordinates_that_could_overflow(demo_pose, coordinate):
+    with pytest.raises(UnreachableError):
+        ik_full(demo_pose, [coordinate, 0.0, -600.0], left_geometry())
 
 
 def test_ik_joint_limit_propagates():
@@ -218,3 +226,9 @@ def test_geometry_validation():
         left_geometry(alpha=90.0)
     with pytest.raises(ValueError):
         left_geometry(q3_min=10.0, q3_max=5.0)
+
+
+@pytest.mark.parametrize("field", ["radius", "q3_min", "q3_max", "q1_limit", "q2_limit"])
+def test_geometry_rejects_nan(field):
+    with pytest.raises(ValueError):
+        left_geometry(**{field: math.nan})

@@ -11,6 +11,19 @@ def test_rot_builders_identity_at_zero():
         assert np.array_equal(build(0.0), np.eye(3))
 
 
+def test_stacked_builders_equal_the_single_angle_ones(rng):
+    angles = rng.uniform(-math.pi, math.pi, (4, 5))
+    for build in (tf.rot_x, tf.rot_y, tf.rot_z):
+        stacked = build(angles)
+        assert stacked.shape == (4, 5, 3, 3)
+        for index in np.ndindex(angles.shape):
+            assert np.allclose(stacked[index], build(float(angles[index])), rtol=0.0, atol=1e-15)
+    stacked = tf.euler_xyz(angles[0], angles[1], angles[2])
+    for i in range(5):
+        single = tf.euler_xyz(float(angles[0, i]), float(angles[1, i]), float(angles[2, i]))
+        assert np.allclose(stacked[i], single, rtol=0.0, atol=1e-15)
+
+
 def test_rot_x_right_hand_rule():
     assert np.allclose(tf.rot_x(math.pi / 2) @ [0, 1, 0], [0, 0, 1], atol=1e-15)
 
