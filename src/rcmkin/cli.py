@@ -181,15 +181,15 @@ def _cmd_query(args) -> int:
 
 def _cmd_profile(args) -> int:
     prof = plan_profile(args.delta, ProfileLimits(args.omega_max, args.eps_max))
-    times = [] if args.dt is None else time_grid(prof.t_total, args.dt)
+    times = None if args.dt is None else time_grid(prof.t_total, args.dt)
     fmt = csvio.format_number
     print(
         f"shape={prof.shape.value} t_acc={fmt(prof.t_acc)} "
         f"t_cruise={fmt(prof.t_cruise)} t_total={fmt(prof.t_total)} "
         f"peak_rate={fmt(prof.peak_rate)}"
     )
-    for row in zip(times, *sample_profile(prof, times)):
-        print(",".join(fmt(x) for x in row))
+    if times is not None:
+        sys.stdout.write(csvio._table_text([times, *sample_profile(prof, times)]))
     return EXIT_OK
 
 

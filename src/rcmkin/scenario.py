@@ -54,7 +54,14 @@ import numpy as np
 
 from .errors import GimbalProximityError, ScenarioParseError, ScenarioValidationError
 from .platform import PlatformPose, check_pose
-from .spherical import IkBranch, SphericalGeometry, SphericalJoints, left_geometry, mirrored
+from .spherical import (
+    MAX_COORDINATE,
+    IkBranch,
+    SphericalGeometry,
+    SphericalJoints,
+    left_geometry,
+    mirrored,
+)
 from .trajectory import (
     MotionPlan,
     MotionType,
@@ -212,12 +219,22 @@ def _positive(kv: _KeyValues, key: str, default: float) -> float:
     return value
 
 
+def _check_coordinates(key: str, values: list[float]) -> None:
+    """Reject a position the IK could overflow on: at least MAX_COORDINATE mm."""
+    if not all(abs(v) < MAX_COORDINATE for v in values):
+        raise ScenarioValidationError(
+            f"{key} coordinates must be below {MAX_COORDINATE:g} mm in magnitude", key
+        )
+
+
 def _build_scenario(kv: _KeyValues) -> Scenario:
     kv.require("motion")
     kv.require("pose")
     motion = kv.word("motion", _MOTION_NAMES)
+    pose_values = kv.floats("pose", 6)
+    _check_coordinates("pose", pose_values[:3])
     try:
-        pose = PlatformPose(*kv.floats("pose", 6))
+        pose = PlatformPose(*pose_values)
         check_pose(pose)
     except (ValueError, GimbalProximityError) as exc:
         raise ScenarioValidationError(f"pose: {exc}", "pose") from None
@@ -267,6 +284,7 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
         for name in ("left", "right"):
             tip = kv.floats(f"tip_{name}", 3)
             if tip is not None:
+                _check_coordinates(f"tip_{name}", tip)
                 scenario.instruments.append(
                     InstrumentSetup(name, by_name[name], tip=np.array(tip))
                 )

@@ -94,35 +94,40 @@ def test_criterion_2_tip_preservation(demo_run):
     profile_theta = stretch_profile(plan_profile(scenario.delta_theta, scenario.limits), 4.5)
     start_pose = scenario.pose
 
-    def pose_at(t):
-        return PlatformPose(
-            start_pose.x, start_pose.y, start_pose.z,
-            start_pose.psi + sample_profile(profile_psi, t)[0],
-            start_pose.theta + sample_profile(profile_theta, t)[0],
-            start_pose.phi,
-        )
+    def samples_at(times):
+        """Poses and platform rates at each time, one profile call per axis."""
+        psi, psi_dot, _ = sample_profile(profile_psi, times)
+        theta, theta_dot, _ = sample_profile(profile_theta, times)
+        poses = [
+            PlatformPose(start_pose.x, start_pose.y, start_pose.z,
+                         start_pose.psi + a, start_pose.theta + b, start_pose.phi)
+            for a, b in zip(psi.tolist(), theta.tolist())
+        ]
+        return poses, psi_dot.tolist(), theta_dot.tolist()
 
-    def rates_at(t, q):
-        pair = jacobians(pose_at(t), SphericalJoints(*q), geometry)
-        return np.array(compensation_rates(
-            pair, sample_profile(profile_psi, t)[1], sample_profile(profile_theta, t)[1]
-        ))
+    def rates_at(samples, i, q):
+        poses, psi_dot, theta_dot = samples
+        pair = jacobians(poses[i], SphericalJoints(*q), geometry)
+        return np.array(compensation_rates(pair, psi_dot[i], theta_dot[i]))
 
     h = 1e-3
     steps = round(4.5 / h)
+    # RK4 stage times, computed as the step loop would: t, t + h/2, t + h.
+    times = 4.5 * np.arange(steps + 1) / steps
+    at_t = samples_at(times)
+    at_half = samples_at(times[:-1] + h / 2)
+    at_full = samples_at(times[:-1] + h)
     start = track.joints[0].copy()
     q = start.copy()
     tip0 = track.tip[0]
     rk4_drift = 0.0
     for i in range(steps):
-        t = 4.5 * i / steps
-        k1 = rates_at(t, q)
-        k2 = rates_at(t + h / 2, q + h / 2 * k1)
-        k3 = rates_at(t + h / 2, q + h / 2 * k2)
-        k4 = rates_at(t + h, q + h * k3)
+        k1 = rates_at(at_t, i, q)
+        k2 = rates_at(at_half, i, q + h / 2 * k1)
+        k3 = rates_at(at_half, i, q + h / 2 * k2)
+        k4 = rates_at(at_full, i, q + h * k3)
         q = q + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t_next = 4.5 * (i + 1) / steps
-        tip = fk_tip_fixed(pose_at(t_next), SphericalJoints(*q), geometry)
+        tip = fk_tip_fixed(at_t[0][i + 1], SphericalJoints(*q), geometry)
         rk4_drift = max(rk4_drift, float(np.abs(tip - tip0).max()))
 
     ok = ik_drift <= 1e-9 and rk4_drift <= 1e-3

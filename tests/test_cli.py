@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcmkin import cli
-from rcmkin.csvio import read_plan_csv
-from rcmkin.trajectory import time_grid
+from rcmkin.csvio import format_number, read_plan_csv
+from rcmkin.trajectory import ProfileLimits, plan_profile, sample_profile, time_grid
 
 DEMO = "reorientation_demo"
 
@@ -154,6 +154,18 @@ def test_profile_samples_the_planner_grid(capsys):
     assert [float(r.split(",")[0]) for r in rows] == pytest.approx(times, abs=1e-9)
 
 
+def test_profile_rows_equal_format_number(capsys):
+    assert cli.main(["profile", "--delta", "25", "--dt", "0.01"]) == 0
+    summary, rows = capsys.readouterr().out.split("\n", 1)
+    assert summary.startswith("shape=trapezoid")
+    prof = plan_profile(25.0, ProfileLimits(10.0, 5.0))
+    times = time_grid(prof.t_total, 0.01)
+    assert rows == "".join(
+        ",".join(format_number(v) for v in row) + "\n"
+        for row in zip(times, *sample_profile(prof, times))
+    )
+
+
 def _single_error_line(err: str) -> bool:
     lines = err.strip().splitlines()
     return len(lines) == 1 and lines[0].startswith("error:")
@@ -201,6 +213,25 @@ def test_ik_far_tip_reports_its_finite_distance(capsys):
     assert captured.out == ""
     assert _single_error_line(captured.err)
     assert "q3 = 1.41421e+200 mm" in captured.err
+
+
+@pytest.mark.parametrize(
+    "coordinates",
+    ["pose = -1e308 0 -500 0 0 0\ntip_left = 1.7e308 1.7e308 0",
+     "pose = 0 0 -500 0 0 0\ntip_left = 1e300 0 0"],
+)
+def test_run_rejects_coordinates_that_could_overflow(tmp_path, capsys, coordinates):
+    scenario = tmp_path / "far.cfg"
+    scenario.write_text(f"motion = type4\n{coordinates}\ndelta_theta = 5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", str(scenario), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from rcmkin import csvio, plan_type4
 from rcmkin.csvio import format_number
+from rcmkin.scenario import endoscope_tips
 
 
 def test_format_number_basics():
@@ -83,3 +87,68 @@ def test_endoscope_columns(demo_plan):
     text = csvio.plan_csv_text(demo_plan, endoscope=endo)
     header = text.splitlines()[1].split(",")
     assert header[-3:] == ["endoscope_tip_x", "endoscope_tip_y", "endoscope_tip_z"]
+
+
+def _scalar_text(rows) -> str:
+    """The scalar reference: format_number of each value, row by row."""
+    return "".join(",".join(format_number(float(v)) for v in row) + "\n" for row in rows)
+
+
+def _scalar_rows(plan, subset, endoscope):
+    """Row values in CSV column order, gathered one sample at a time."""
+    for i, t in enumerate(plan.time):
+        pose = plan.pose_grid[i]
+        if subset == "fig5":
+            yield [t, *pose[3:5], *plan.pose_rates[i], *plan.pose_accels[i]]
+            continue
+        row = [t] if subset else [t, *pose, *plan.pose_rates[i], *plan.pose_accels[i]]
+        for track in plan.instruments:
+            row += [*track.joints[i], *track.rates[i], *track.accels[i]]
+            if subset is None:
+                row += [*track.tip[i], track.sing[i]]
+        if subset is None:
+            row += list(endoscope[i])
+        yield row
+
+
+@pytest.mark.parametrize("subset", [None, "fig5", "fig7"])
+def test_plan_csv_text_equals_the_scalar_formatter(
+    subset, demo_pose, demo_geometry, demo_tip, demo_limits
+):
+    # 451 samples: more than one row block.
+    plan = plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.01,
+                      [(demo_geometry, demo_tip)])
+    endoscope = endoscope_tips(plan, 40.0)
+    assert plan.samples > csvio._BLOCK_ROWS
+    header = ",".join(csvio.plan_header(plan, subset, endoscope))
+    expected = f"# rcmkin-plan-1\n{header}\n" + _scalar_text(
+        _scalar_rows(plan, subset, endoscope))
+    assert csvio.plan_csv_text(plan, subset, endoscope) == expected
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                float("nan"), float("inf"), float("-inf"), 9.99999999996, 0.1, 1e-300]
+_SHAPES = array_shapes(min_dims=2, max_dims=2, max_side=12)
+
+
+@given(arrays(np.float64, _SHAPES,
+              elements=st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))))
+def test_block_formatter_equals_format_number(block):
+    assert csvio._table_text([block]) == _scalar_text(block)
+
+
+def test_values_next_to_powers_of_ten_take_format_numbers_exponent():
+    # np.log10 and math.log10 can round to opposite sides of an integer
+    # within a few ulps of 10**k; format_number takes its exponent from
+    # math.log10.
+    powers = np.array([10.0 ** k for k in range(-300, 301)])
+    block = (powers.view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64)
+    assert csvio._table_text([block]) == _scalar_text(block)
+
+
+@given(arrays(np.float64, _SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_text_parses_back_within_1e9_relative(block):
+    lines = csvio._table_text([block]).splitlines()
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert parsed.shape == block.shape
+    assert np.all(np.abs(parsed - block) <= 1e-9 * np.abs(block))
