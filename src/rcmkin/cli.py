@@ -8,6 +8,8 @@ otherwise kinematically infeasible request, 3 singular configuration.
 from __future__ import annotations
 
 import argparse
+import functools
+import re
 import sys
 import time
 
@@ -50,6 +52,15 @@ def exit_code_for(exc: Exception) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as an option unless
+        # this matches it, and its own pattern matches only a lone negative
+        # number: "--pose -12.5,0,-500,0,0,0" stopped at "expected one
+        # argument".  No option here has a digit, a point, "inf" or "nan" after
+        # its dash, so such an argument is a value.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits 2 on usage errors; keep 2 reserved for infeasibility.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -127,6 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: a batch that calls main
+    once per plan or query builds it once, not once per call."""
+    return build_parser()
+
+
 def _cmd_run(args) -> int:
     try:
         sc = scenario.load_scenario(args.scenario)
@@ -194,7 +212,9 @@ def _cmd_profile(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit code; a usage error or --help
+    raises SystemExit (1 or 0).  A process may call it any number of times."""
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

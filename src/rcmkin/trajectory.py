@@ -274,7 +274,12 @@ def _at_sample(t: float):
     except KinematicsError as exc:
         wrapped = type(exc)(f"at sample t = {t:.9g} s: {exc}")
         wrapped.sample_time = t
-        raise wrapped from None
+        try:
+            raise wrapped from None
+        finally:
+            # Its traceback holds this frame, and through it the planner's frame
+            # and grids: drop the local so no cycle waits for the cyclic GC.
+            wrapped = None
     raise AssertionError(f"sample t = {t!r} s was flagged but passed its checks")
 
 

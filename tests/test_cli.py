@@ -1,6 +1,9 @@
 import contextlib
 import io
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from rcmkin import cli
 from rcmkin.csvio import format_number, read_plan_csv
+from rcmkin.platform import PlatformPose
+from rcmkin.spherical import ik_full, left_geometry
 from rcmkin.trajectory import ProfileLimits, plan_profile, sample_profile, time_grid
 
 DEMO = "reorientation_demo"
@@ -287,3 +292,139 @@ def test_validate_quick_subset(capsys, monkeypatch):
     report = validation.format_report(results)
     assert "all oracles passed" in report
     assert report.count("PASS") == len(results)
+
+
+def _main(argv):
+    """Exit code, stdout and stderr of one main() call; a usage error counts as
+    its SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, other_flag, other_value",
+    [
+        ("fk", "--pose", "-12.5,0,-500,0,0,0", "--joints", "0,0,100"),
+        ("fk", "--joints", "-3.5,-38.9,147.8", "--pose", "15,20,-500,-15,10,-60"),
+        ("ik", "--tip", "-50,-50,-620", "--pose", "15,20,-500,-15,10,-60"),
+        ("ik", "--pose", "-.5,-1e1,-500,-15,-10,-60", "--tip", "50,-50,-620"),
+    ],
+)
+def test_number_list_starting_with_minus_in_both_forms(
+    command, flag, value, other_flag, other_value
+):
+    separate = _main([command, flag, value, other_flag, other_value])
+    attached = _main([command, f"{flag}={value}", other_flag, other_value])
+    assert separate == attached
+    code, out, err = separate
+    assert code == 0 and err == ""
+    assert len(out.strip().split(",")) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fk", "--pose", "-12.5,x,-500,0,0,0", "--joints", "0,0,100"],
+        ["fk", "--pose", "-12.5,0,-500", "--joints", "0,0,100"],
+        ["fk", "--pose", "0,0,-500,0,0,0", "--joints", "-x"],
+        ["ik", "--pose", "0,0,-500,0,0,0", "--tip", "-1,,-600"],
+        ["ik", "--pose", "-nan,0,-500,0,0,0", "--tip", "0,0,-600"],
+    ],
+)
+def test_bad_value_after_a_list_flag_is_one_error_line(argv):
+    code, out, err = _main(argv)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert sum("error:" in line for line in lines) == 1
+    assert "error:" in lines[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["fk", "ik"]), pose=_floats(6), point=_floats(3))
+def test_separate_and_attached_lists_agree_on_arbitrary_floats(command, pose, point):
+    point_flag = "--joints" if command == "fk" else "--tip"
+    separate = _main([command, "--pose", pose, point_flag, point])
+    assert separate == _main([command, f"--pose={pose}", f"{point_flag}={point}"])
+    assert separate[0] in (0, 1, 2, 3)
+
+
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import rcmkin.cli\n"
+        "print(len(built))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_main_builds_its_parser_at_most_once(monkeypatch):
+    built, build = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for i in range(20):
+            code, out, _ = _main(["profile", "--delta", str(5 + i)])
+            assert code == 0 and out.startswith("shape=")
+    finally:
+        cli._parser.cache_clear()  # later tests rebuild from the real build_parser
+    assert len(built) == 1  # built by the public build_parser, on the first call
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_dt_override_does_not_outlive_its_call(tmp_path):
+    coarse, default = tmp_path / "coarse.csv", tmp_path / "default.csv"
+    assert cli.main(["run", DEMO, "--out", str(coarse), "--dt", "0.05", "--quiet"]) == 0
+    assert cli.main(["run", DEMO, "--out", str(default), "--quiet"]) == 0
+    assert read_plan_csv(coarse)[1].shape[0] == 91
+    assert read_plan_csv(default)[1].shape[0] == 451  # the demo's own dt = 0.01
+
+
+def test_branch_override_does_not_outlive_its_call():
+    pose, tip = "15,20,-500,-15,10,-60", "50,-50,-620"
+    code, out, err = _main(["ik", "--pose", pose, "--tip", tip, "--branch", "mirror"])
+    assert code == 2 and out == "" and "exceeds" in err  # infeasible on +/-90 deg travels
+    joints = ik_full(PlatformPose(15, 20, -500, -15, 10, -60), [50, -50, -620],
+                     left_geometry())
+    principal = ",".join(format_number(v) for v in (joints.q1, joints.q2, joints.q3))
+    assert _main(["ik", "--pose", pose, "--tip", tip]) == (0, principal + "\n", "")
+
+
+def test_usage_error_leaves_the_next_call_unchanged():
+    argv = ["fk", "--pose", "15,20,-500,-15,10,-60", "--joints", "0,0,100"]
+    before = _main(argv)
+    code, out, err = _main(["fk", "--pose", "15,20,-500,-15,10,-60"])
+    assert code == 1 and out == "" and "required: --joints" in err
+    assert _main(argv) == before
+    assert before[0] == 0 and before[2] == ""
+
+
+def test_help_goes_to_the_current_stdout():
+    first, second = io.StringIO(), io.StringIO()
+    for target in (first, second):
+        with contextlib.redirect_stdout(target), pytest.raises(SystemExit) as done:
+            cli.main(["fk", "--help"])
+        assert done.value.code == 0
+    assert first.getvalue().startswith("usage: rcmkin fk")
+    assert second.getvalue() == first.getvalue()

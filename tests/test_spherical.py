@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmkin import (
     DegenerateInputError,
@@ -196,6 +198,43 @@ def test_mirror_branch_round_trips(rng):
         solved = ik_tip_platform(v, g, IkBranch.MIRROR)
         assert np.allclose(tip_in_platform(solved, g), v, atol=1e-9)
         assert solved.q2 == pytest.approx(joints.q2, abs=1e-9)
+
+
+def _angle_gap(a, b):
+    """|a - b| in degrees, modulo full turns: 180 and -180 are the same q1."""
+    return abs(math.remainder(a - b, 360.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pose=st.builds(
+        PlatformPose,
+        st.floats(-100, 100), st.floats(-100, 100), st.floats(-700, -300),
+        st.floats(-60, 60), st.floats(-60, 60), st.floats(-180, 180),
+    ),
+    alpha=st.floats(-30, 30),
+    beta=st.floats(0, 30),
+    spacing=st.floats(5, 20),
+    branch=st.sampled_from(IkBranch),
+    q1=st.floats(-180, 180),
+    q2_offset=st.floats(1, 90),  # |q2| stays 1 deg or more off the singular 90 deg
+    q2_sign=st.sampled_from([-1.0, 1.0]),
+    q3=st.floats(1, 300),
+)
+def test_fk_ik_round_trip_on_both_branches(
+    pose, alpha, beta, spacing, branch, q1, q2_offset, q2_sign, q3
+):
+    # Full q1/q2 travel, so that every joint set on either branch is feasible.
+    g = left_geometry(alpha=alpha, beta=beta, port_spacing=spacing,
+                      q1_limit=180.0, q2_limit=180.0)
+    magnitude = 90.0 - q2_offset if branch is IkBranch.PRINCIPAL else 90.0 + q2_offset
+    joints = SphericalJoints(q1, q2_sign * magnitude, q3)
+    tip = fk_tip_fixed(pose, joints, g)
+    solved = ik_full(pose, tip, g, branch)
+    assert _angle_gap(solved.q1, joints.q1) <= 1e-8
+    assert _angle_gap(solved.q2, joints.q2) <= 1e-8
+    assert abs(solved.q3 - joints.q3) <= 1e-9
+    assert np.abs(fk_tip_fixed(pose, solved, g) - tip).max() <= 1e-9
 
 
 def test_rcm_invariance_zero_insertion_matches_port(demo_pose, rng):

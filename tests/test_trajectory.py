@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from rcmkin import (
     ProfileLimits,
     ProfileRangeError,
     ProfileShape,
+    SingularConfigurationError,
     SphericalJoints,
     UnreachableError,
     fk_tip_fixed,
@@ -198,6 +200,37 @@ def test_type4_unreachable_reports_sample_time(demo_pose, demo_limits):
     with pytest.raises(JointLimitError) as err:
         plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.01, [(g, tip)])
     assert err.value.sample_time is not None
+
+
+def _plan_rejected_at_a_sample(demo_pose, demo_limits, motion):
+    if motion == "type4":
+        tip = np.array([50.0, -50.0, -624.0])
+        plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.01,
+                   [(left_geometry(q3_max=152.0), tip)])
+    else:  # q2 crosses the singular 90 deg
+        plan_type3_manipulate(demo_pose, SphericalJoints(0.0, 0.0, 150.0),
+                              SphericalJoints(0.0, 95.0, 150.0),
+                              left_geometry(q2_limit=120.0), demo_limits, 0.01)
+
+
+@pytest.mark.parametrize("motion, error", [("type4", JointLimitError),
+                                           ("type3", SingularConfigurationError)])
+def test_rejection_leaves_no_reference_cycle(demo_pose, demo_limits, motion, error):
+    # A cycle through the error's traceback would keep the planner's frame and
+    # its grids alive until the cyclic garbage collector next runs.
+    sample_time = None
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            _plan_rejected_at_a_sample(demo_pose, demo_limits, motion)
+        except error as exc:
+            sample_time = exc.sample_time
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert sample_time is not None
+    assert unreachable == 0
 
 
 def test_type4_unreachable_cone(demo_limits):
