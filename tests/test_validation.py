@@ -1,6 +1,11 @@
+import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rcmkin import differential, validation
 
@@ -47,6 +52,47 @@ def test_roundtrip_oracle_detects_wrong_solutions(monkeypatch):
     monkeypatch.setattr(validation, "ik_full", biased)
     result = validation.check_fk_ik_roundtrip(n=20)
     assert not result.passed
+
+
+def test_numeric_ik_oracle_detects_a_shifted_solution(monkeypatch):
+    from rcmkin.spherical import SphericalJoints
+
+    true_ik = validation.ik_full
+
+    def shifted(pose, tip, geometry, branch):
+        j = true_ik(pose, tip, geometry, branch)
+        return SphericalJoints(j.q1 + 1e-3, j.q2, j.q3)
+
+    monkeypatch.setattr(validation, "ik_full", shifted)
+    result = validation.check_numeric_ik(n=20)
+    assert not result.passed
+    assert result.max_err == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_numeric_ik_oracle_fails_when_the_solver_does_not_converge(monkeypatch):
+    true_fk = validation.fk_tip_fixed
+    targets = []
+
+    def rootless(pose, joints, geometry):
+        # The first call makes the target tip. Every later call is a residual
+        # evaluation that stays exp(q3) mm off that target along x: there is no
+        # root, and each Gauss-Newton step moves q3 by -1 mm without end.
+        if targets:
+            return targets[0] + [math.exp(joints.q3), 0.0, 0.0]
+        targets.append(true_fk(pose, joints, geometry))
+        return targets[0]
+
+    monkeypatch.setattr(validation, "fk_tip_fixed", rootless)
+    result = validation.check_numeric_ik(n=20)
+    assert result.max_err == math.inf and not result.passed
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = Path(validation.__file__).resolve().parents[1]
+    probe = "import sys, rcmkin, rcmkin.cli, rcmkin.validation; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_report_formatting():
