@@ -11,13 +11,10 @@ from .differential import (
     SIGMA_MIN,
     InputRates,
     JacobianPair,
-    TaskRates,
     compensation_accels,
     compensation_rates,
     jacobian_rate,
     jacobians,
-    singularity_measure,
-    tip_rates,
 )
 from .errors import (
     DegenerateInputError,
@@ -38,10 +35,7 @@ from .platform import (
     PortSide,
     RcmPort,
     check_pose,
-    endoscope_port,
     left_port,
-    platform_matrix,
-    rcm_fixed,
     right_port,
 )
 from .scenario import (
@@ -59,14 +53,11 @@ from .spherical import (
     SphericalJoints,
     check_joints,
     fk_tip_fixed,
-    fk_tip_fixed_chain,
     ik_full,
     ik_tip_platform,
     left_geometry,
     mirrored,
-    module_matrix,
     right_geometry,
-    tip_in_platform,
 )
 from .trajectory import (
     InstrumentTrack,
@@ -83,15 +74,10 @@ from .trajectory import (
     stretch_profile,
 )
 from .transforms import (
-    apply_point,
     euler_xyz,
-    euler_xyz_angles,
-    is_rotation,
-    last_column,
     rot_x,
     rot_y,
     rot_z,
-    trans_z,
     vec3,
 )
 

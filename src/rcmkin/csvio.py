@@ -82,13 +82,6 @@ def _columns(
     return columns
 
 
-def plan_header(
-    plan: MotionPlan, subset: str | None = None, endoscope: np.ndarray | None = None
-) -> list[str]:
-    """Column names for a plan, optionally restricted to a figure subset."""
-    return [name for names, _ in _columns(plan, subset, endoscope) for name in names]
-
-
 def _format_block(block: np.ndarray) -> str:
     """format_number of every value of a 2-D block: commas between values,
     newlines between rows, no trailing newline.

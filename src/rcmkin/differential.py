@@ -49,14 +49,6 @@ _TO_USER = np.array([180.0 / math.pi, 180.0 / math.pi, 1.0])
 
 
 @dataclass(frozen=True)
-class TaskRates:
-    """Tip velocity (mm/s) and acceleration (mm/s^2) in the fixed frame."""
-
-    tip_vel: np.ndarray
-    tip_acc: np.ndarray
-
-
-@dataclass(frozen=True)
 class InputRates:
     """Rates and accelerations of the five coupled inputs.
 
@@ -96,16 +88,6 @@ class JacobianPair:
     a: np.ndarray
     b: np.ndarray
     sigma: float
-
-    @property
-    def b_q(self) -> np.ndarray:
-        """Columns of B over the module joints (q1, q2, q3)."""
-        return self.b[:, :3]
-
-    @property
-    def b_a(self) -> np.ndarray:
-        """Columns of B over the platform angles (psi, theta)."""
-        return self.b[:, 3:]
 
 
 def _xy_partials(left, a, b, right, order: int) -> dict:
@@ -226,20 +208,28 @@ def signed_measure(joints: SphericalJoints, geometry: SphericalGeometry):
     return -np.cos(_DEG * joints.q2) * math.cos(math.radians(geometry.beta))
 
 
-def check_nonsingular(sigma: float) -> float:
-    """Return |sigma|, raising SingularConfigurationError at or below SIGMA_MIN."""
-    measure = abs(sigma)
-    if measure <= SIGMA_MIN:
+def _singular(sigma):
+    """check_nonsingular's comparison, for a scalar or a grid; NaN passes."""
+    return abs(sigma) <= SIGMA_MIN
+
+
+def _sign_flipped(previous, sigma):
+    """check_same_sign's comparison; a zero or NaN ``previous`` passes."""
+    return sigma * previous < 0.0
+
+
+def check_nonsingular(sigma: float) -> None:
+    """Raise SingularConfigurationError when |sigma| is at or below SIGMA_MIN."""
+    if _singular(sigma):
         raise SingularConfigurationError(
-            f"normalized joint-block |det| = {measure:.3e} <= {SIGMA_MIN:g}"
+            f"normalized joint-block |det| = {abs(sigma):.3e} <= {SIGMA_MIN:g}"
         )
-    return measure
 
 
 def check_same_sign(previous: float | None, sigma: float) -> None:
     """Raise SingularConfigurationError when sigma changed sign since the
     previous sample (None before the first)."""
-    if previous is not None and sigma * previous < 0.0:
+    if previous is not None and _sign_flipped(previous, sigma):
         raise SingularConfigurationError(
             "joint-block determinant changed sign since the previous "
             "sample; the motion crosses a singularity between samples"
@@ -251,7 +241,7 @@ def singular_faults(sigma: np.ndarray, previous: float | None) -> np.ndarray:
     check_same_sign rejects; ``previous`` is the sigma of the sample before
     the grid, or None."""
     before = np.concatenate(([np.nan if previous is None else previous], sigma[:-1]))
-    return (np.abs(sigma) <= SIGMA_MIN) | (sigma * before < 0.0)
+    return _singular(sigma) | _sign_flipped(before, sigma)
 
 
 def jacobians(
@@ -276,11 +266,6 @@ def jacobian_rate(
     m = module_partials(joints.q1, joints.q2, geometry, 2)
     r = platform_partials(pose.psi, pose.theta, pose.phi, 2)
     return _b_rate(m, r, joints.q3, geometry, rates.rates_internal())
-
-
-def singularity_measure(pair: JacobianPair) -> float:
-    """Normalized joint-block |det|, |cos q2 cos beta|; zero at a singularity."""
-    return abs(pair.sigma)
 
 
 def compensation_grid(
@@ -337,13 +322,3 @@ def compensation_accels(
     check_nonsingular(pair.sigma)
     pose_accels = np.array([rates.psi_ddot, rates.theta_ddot])
     return tuple(_joint_accels(pair.b, b_dot, rates.rates_internal(), pose_accels).tolist())
-
-
-def tip_rates(pair: JacobianPair, b_dot: np.ndarray, rates: InputRates) -> TaskRates:
-    """Forward velocity relation: tip velocity B Qdot and acceleration
-    B Qddot + Bdot Qdot for the given input rates."""
-    qdot = rates.rates_internal()
-    return TaskRates(
-        tip_vel=pair.b @ qdot,
-        tip_acc=pair.b @ rates.accels_internal() + b_dot @ qdot,
-    )

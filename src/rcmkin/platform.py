@@ -1,6 +1,6 @@
 """Mobile-platform pose and the mapping of its instrument entry ports.
 
-The platform carries one endoscope port at its reference point and the two
+The platform carries the endoscope through its reference point and the two
 instrument RCM ports offset along its X' axis. Poses are position (mm) plus
 X-Y-Z Euler angles (degrees); the pitch angle is kept away from +/-90 deg
 where that parametrization degenerates.
@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GimbalProximityError
-from .transforms import apply_point, euler_xyz, vec3
+from .transforms import euler_xyz, vec3
 
 #: Degrees of clearance required between |theta| and the 90 deg degeneracy.
 GIMBAL_MARGIN_DEG = 1e-3
@@ -27,7 +27,6 @@ DEFAULT_PORT_SPACING = 10.0
 class PortSide(Enum):
     LEFT = "left"
     RIGHT = "right"
-    ENDOSCOPE = "endoscope"
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ class RcmPort:
         object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
         if not all(math.isfinite(v) for v in self.offset):
             raise ValueError("port offset must be finite")
-        if self.side is PortSide.ENDOSCOPE and any(v != 0.0 for v in self.offset):
-            raise ValueError("endoscope port must sit at the platform origin")
 
     @property
     def offset_vec(self) -> np.ndarray:
@@ -55,10 +52,6 @@ def left_port(spacing: float = DEFAULT_PORT_SPACING) -> RcmPort:
 
 def right_port(spacing: float = DEFAULT_PORT_SPACING) -> RcmPort:
     return RcmPort((spacing, 0.0, 0.0), PortSide.RIGHT)
-
-
-def endoscope_port() -> RcmPort:
-    return RcmPort((0.0, 0.0, 0.0), PortSide.ENDOSCOPE)
 
 
 @dataclass(frozen=True)
@@ -93,9 +86,15 @@ class PlatformPose:
         )
 
 
+def near_gimbal(theta):
+    """Whether a pitch (deg) sits within the gimbal margin of +/-90 deg; a
+    grid of pitches gives a mask. check_pose and the planners' screens read it."""
+    return abs(theta) >= 90.0 - GIMBAL_MARGIN_DEG
+
+
 def check_pose(pose: PlatformPose) -> None:
     """Raise when the pose pitch sits within the gimbal margin of +/-90 deg."""
-    if abs(pose.theta) >= 90.0 - GIMBAL_MARGIN_DEG:
+    if near_gimbal(pose.theta):
         raise GimbalProximityError(
             f"|theta| = {abs(pose.theta):.6g} deg is within "
             f"{GIMBAL_MARGIN_DEG:g} deg of the 90 deg degeneracy"
@@ -109,8 +108,3 @@ def platform_matrix(pose: PlatformPose) -> np.ndarray:
     m[:3, :3] = euler_xyz(*pose.angles_rad)
     m[:3, 3] = pose.position
     return m
-
-
-def rcm_fixed(pose: PlatformPose, port: RcmPort) -> np.ndarray:
-    """Fixed-frame position of an entry port carried by the platform."""
-    return apply_point(platform_matrix(pose), port.offset)

@@ -315,15 +315,10 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def bundled_scenario_text(name: str) -> str:
-    """Text of a scenario shipped with the package (no .cfg suffix)."""
-    return (
-        resources.files(__package__).joinpath("data", f"{name}.cfg").read_text("utf-8")
-    )
-
-
 def bundled_scenario(name: str) -> Scenario:
-    return parse_scenario(bundled_scenario_text(name), source=f"<bundled:{name}>")
+    """Load a scenario shipped with the package (name without .cfg)."""
+    text = resources.files(__package__).joinpath("data", f"{name}.cfg").read_text("utf-8")
+    return parse_scenario(text, source=f"<bundled:{name}>")
 
 
 def endoscope_tips(plan: MotionPlan, insertion: float) -> np.ndarray:

@@ -5,16 +5,17 @@ q2, fixed tilt beta) followed by tool insertion along the local -Z axis by
 q3. All rotation axes meet at the entry port, so q3 = 0 leaves the tip at
 the remote center regardless of q1 and q2.
 
-Two forward-kinematics routes are provided on purpose: ``fk_tip_fixed``
-evaluates the scalar direction-cosine expansion of the tip map, while
-``fk_tip_fixed_chain`` composes the homogeneous transforms. They must agree
-to floating-point level and are cross-checked in the test suite.
+``fk_tip_fixed`` evaluates the scalar direction-cosine expansion of the tip
+map. ``fk_tip_fixed_chain`` composes the homogeneous transforms instead; no
+planner or query runs it, it is the independent route the oracle suite
+(``rcmkin validate``) checks the expansion against.
 
 The closed-form IK has a scalar body (``ik_tip_platform``, ``ik_full``) and
 an array form over a block of platform rotations (``ik_grid``), which the
-planners use. Its checks come in two forms with the same comparisons:
-``check_ik`` raises for one solved sample, ``ik_faults`` flags the samples
-of a grid that ``check_ik`` would reject.
+planners use. Its checks come in two forms that read the same comparisons
+(``_ik_defects``, ``_within_travel``): ``check_ik`` raises for one solved
+sample, ``ik_faults`` flags the samples of a grid that ``check_ik`` would
+reject.
 
 Interface units are degrees and millimetres; radians appear only internally.
 """
@@ -135,9 +136,7 @@ def mirrored(geometry: SphericalGeometry, negate_alpha: bool = True) -> Spherica
     """Opposite-hand twin of a module: the port X offset changes sign, and by
     default so does alpha (the platform is symmetric about its Y'Z' plane)."""
     ox, oy, oz = geometry.port.offset
-    side = {PortSide.LEFT: PortSide.RIGHT, PortSide.RIGHT: PortSide.LEFT}.get(
-        geometry.port.side, geometry.port.side
-    )
+    side = PortSide.RIGHT if geometry.port.side is PortSide.LEFT else PortSide.LEFT
     port = RcmPort((-ox, oy, oz), side)
     alpha = -geometry.alpha if negate_alpha else geometry.alpha
     return replace(geometry, port=port, alpha=alpha)
@@ -250,14 +249,22 @@ def fk_tip_fixed_chain(
     return last_column(platform_matrix(pose) @ port @ module_matrix(joints, geometry))
 
 
+def _ik_defects(q3, sin_q2):
+    """Flags (degenerate, unreachable) of solved samples, scalars or grids:
+    q3 below MIN_TIP_NORM, |sin q2| past 1 + REACH_TOL. NaN trips neither
+    (it fails the travel check)."""
+    return q3 < MIN_TIP_NORM, abs(sin_q2) > 1.0 + REACH_TOL
+
+
 def check_ik(joints: SphericalJoints, sin_q2: float, geometry: SphericalGeometry) -> None:
     """The checks of the closed-form IK on one solved sample, in order: a
     defined insertion direction, a reachable tip, joints within travel."""
-    if joints.q3 < MIN_TIP_NORM:
+    degenerate, unreachable = _ik_defects(joints.q3, sin_q2)
+    if degenerate:
         raise DegenerateInputError(
             f"tip vector norm {joints.q3:.3g} mm is below {MIN_TIP_NORM:g} mm"
         )
-    if abs(sin_q2) > 1.0 + REACH_TOL:
+    if unreachable:
         raise UnreachableError(
             f"tip direction outside the insertion cone (|sin q2| = {abs(sin_q2):.9g})"
         )
@@ -268,11 +275,8 @@ def ik_faults(
     joints: SphericalJoints, sin_q2: np.ndarray, geometry: SphericalGeometry
 ) -> np.ndarray:
     """Mask of the samples of an ik_grid solution that check_ik rejects."""
-    return (
-        (joints.q3 < MIN_TIP_NORM)
-        | (np.abs(sin_q2) > 1.0 + REACH_TOL)
-        | joint_faults(joints, geometry)
-    )
+    degenerate, unreachable = _ik_defects(joints.q3, sin_q2)
+    return degenerate | unreachable | joint_faults(joints, geometry)
 
 
 def ik_grid(

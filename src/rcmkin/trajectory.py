@@ -18,9 +18,9 @@ consecutive samples (the plan would cross a singularity between them).
 Along a type 2/3 trapezoid q2 is monotone, so a +/-90 deg crossing is
 caught at the first sample past it. A type 4 plan holds one IK branch, on
 which cos q2 keeps its sign, so only the |sigma| threshold can fire there.
-Each block is screened with masks that make the same comparisons as the
-checks (``ik_faults``, ``joint_faults``, ``singular_faults``, the gimbal
-margin), with sigma's sign carried across blocks. The earliest flagged
+Each block is screened with masks that share their comparisons with the
+checks (``ik_faults``, ``joint_faults``, ``singular_faults``,
+``near_gimbal``), with sigma's sign carried across blocks. The earliest flagged
 sample wins, at equal samples the first instrument, and its checks are
 replayed on its grid values inside ``_at_sample``: a rejection raises the
 error, message and sample time that checking sample by sample would, and
@@ -49,7 +49,7 @@ from .differential import (
     tip_grid,
 )
 from .errors import InvalidLimitsError, KinematicsError, ProfileRangeError
-from .platform import GIMBAL_MARGIN_DEG, PlatformPose, check_pose
+from .platform import PlatformPose, check_pose, near_gimbal
 from .spherical import (
     IkBranch,
     SphericalGeometry,
@@ -127,22 +127,17 @@ def plan_profile(delta: float, limits: ProfileLimits) -> TrapezoidProfile:
     omega, eps = limits.omega_max, limits.eps_max
     ramp_span = omega * omega / eps  # distance covered by ramp-up plus ramp-down
     if magnitude < ramp_span:
-        peak = math.sqrt(magnitude * eps)
-        t_acc = peak / eps
-        return TrapezoidProfile(
-            delta, t_acc, 0.0, 2.0 * t_acc, sign * peak, sign * eps, ProfileShape.TRIANGLE
+        shape, peak, t_cruise = ProfileShape.TRIANGLE, math.sqrt(magnitude * eps), 0.0
+    else:
+        shape, peak, t_cruise = ProfileShape.TRAPEZOID, omega, (magnitude - ramp_span) / omega
+    t_acc = peak / eps
+    t_total = 2.0 * t_acc + t_cruise
+    if not math.isfinite(t_total):  # a huge displacement under tiny limits overflows
+        raise InvalidLimitsError(
+            f"a displacement of {delta:.9g} under omega_max = {omega:.9g} and "
+            f"eps_max = {eps:.9g} has no finite duration"
         )
-    t_acc = omega / eps
-    t_cruise = (magnitude - ramp_span) / omega
-    return TrapezoidProfile(
-        delta,
-        t_acc,
-        t_cruise,
-        2.0 * t_acc + t_cruise,
-        sign * omega,
-        sign * eps,
-        ProfileShape.TRAPEZOID,
-    )
+    return TrapezoidProfile(delta, t_acc, t_cruise, t_total, sign * peak, sign * eps, shape)
 
 
 def stretch_profile(profile: TrapezoidProfile, t_total: float) -> TrapezoidProfile:
@@ -357,7 +352,7 @@ def plan_type4(
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         r = platform_partials(psi[block], theta[block], start.phi, 2)
-        gimbal = np.abs(theta[block]) >= 90.0 - GIMBAL_MARGIN_DEG  # check_pose
+        gimbal = near_gimbal(theta[block])
         solved = []
         for track, target, previous in zip(tracks, targets, last_sigma):
             joints, sin_q2 = ik_grid(r[0, 0], position, target, track.geometry, branch)

@@ -3,6 +3,17 @@ import pytest
 
 from rcmkin import PlatformPose, ProfileLimits, left_geometry
 
+ROTATION_TOL = 1e-12
+
+
+def is_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> bool:
+    """True when r is orthonormal with determinant +1 within tol."""
+    if r.shape != (3, 3):
+        return False
+    residual = float(np.abs(r.T @ r - np.eye(3)).max())
+    det = float(np.cross(r[:, 0], r[:, 1]) @ r[:, 2])  # triple product of the columns
+    return residual <= tol and abs(det - 1.0) <= tol
+
 
 @pytest.fixture
 def demo_pose():

@@ -21,7 +21,6 @@ from rcmkin import (
     cli,
     compensation_rates,
     fk_tip_fixed,
-    fk_tip_fixed_chain,
     ik_full,
     jacobians,
     left_geometry,
@@ -29,11 +28,17 @@ from rcmkin import (
     plan_type3_manipulate,
     run_scenario,
     sample_profile,
-    singularity_measure,
     stretch_profile,
 )
 from rcmkin.csvio import write_plan_csv
-from rcmkin.validation import finite_difference_b, finite_difference_b_rate
+from rcmkin.spherical import fk_tip_fixed_chain
+from rcmkin.validation import (
+    _random_geometry,
+    _random_joints,
+    _random_pose,
+    finite_difference_b,
+    finite_difference_b_rate,
+)
 
 DEMO = "reorientation_demo"
 
@@ -44,16 +49,7 @@ def _criterion(name: str, ok: bool, detail: str) -> None:
 
 
 def _random_configuration(rng, swing=85.0):
-    pose = PlatformPose(
-        rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-700, -300),
-        rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(-180, 180),
-    )
-    geometry = left_geometry(alpha=rng.uniform(0, 30), beta=rng.uniform(0, 30),
-                             port_spacing=rng.uniform(5, 20))
-    joints = SphericalJoints(
-        rng.uniform(-swing, swing), rng.uniform(-swing, swing), rng.uniform(20, 280)
-    )
-    return pose, geometry, joints
+    return _random_pose(rng), _random_geometry(rng), _random_joints(rng, margin=90.0 - swing)
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +242,7 @@ def test_criterion_8_singularity_guard():
     while t < t_fail - 1e-12:
         q2 = sample_profile(profile, t)[0]
         pair = jacobians(pose, SphericalJoints(0.0, q2, 150.0), geometry)
-        floor = min(floor, singularity_measure(pair))
+        floor = min(floor, abs(pair.sigma))
         t += 0.01
     ok = t_fail is not None and floor >= 1e-8
     _criterion(

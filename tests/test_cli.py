@@ -208,6 +208,31 @@ def test_bad_sample_step_is_config_error(argv, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A triangle's t_acc overflows.
+        ["profile", "--delta", "1e308", "--omega-max", "1e308", "--eps-max", "1e-308"],
+        # A trapezoid's t_cruise overflows.
+        ["profile", "--delta", "1e308", "--omega-max", "1e-300", "--eps-max", "1"],
+        ["run", "omega_max = 1e-300\ndelta_psi = 1e308"],
+    ],
+)
+def test_a_duration_that_overflows_is_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if argv[0] == "run":
+        scenario = tmp_path / "long.cfg"
+        scenario.write_text(
+            f"motion = type4\npose = 0 0 -500 0 0 0\ntip_left = 50 -50 -620\n{argv[1]}\n"
+        )
+        argv = ["run", str(scenario), "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert _single_error_line(captured.err)
+    assert "has no finite duration" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_ik_far_tip_reports_its_finite_distance(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -120,10 +120,9 @@ def test_plan_csv_text_equals_the_scalar_formatter(
                       [(demo_geometry, demo_tip)])
     endoscope = endoscope_tips(plan, 40.0)
     assert plan.samples > csvio._BLOCK_ROWS
-    header = ",".join(csvio.plan_header(plan, subset, endoscope))
-    expected = f"# rcmkin-plan-1\n{header}\n" + _scalar_text(
-        _scalar_rows(plan, subset, endoscope))
-    assert csvio.plan_csv_text(plan, subset, endoscope) == expected
+    schema, _, body = csvio.plan_csv_text(plan, subset, endoscope).split("\n", 2)
+    assert schema == "# rcmkin-plan-1"
+    assert body == _scalar_text(_scalar_rows(plan, subset, endoscope))
 
 
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rcmkin import (
+    SIGMA_MIN,
     InputRates,
     PlatformPose,
     SingularConfigurationError,
@@ -16,22 +17,18 @@ from rcmkin import (
     jacobians,
     left_geometry,
     mirrored,
-    singularity_measure,
-    tip_rates,
 )
-from rcmkin.validation import finite_difference_b
+from rcmkin.differential import check_nonsingular, check_same_sign, singular_faults
+from rcmkin.validation import (
+    _random_geometry,
+    _random_joints,
+    _random_pose,
+    finite_difference_b,
+)
 
 
 def _random_case(rng):
-    pose = PlatformPose(
-        rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-600, -400),
-        rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(-90, 90),
-    )
-    g = left_geometry(alpha=rng.uniform(1, 30), beta=rng.uniform(1, 30),
-                      port_spacing=rng.uniform(5, 20))
-    joints = SphericalJoints(rng.uniform(-80, 80), rng.uniform(-80, 80),
-                             rng.uniform(20, 280))
-    return pose, g, joints
+    return _random_pose(rng), _random_geometry(rng), _random_joints(rng)
 
 
 def test_a_is_negative_identity(demo_pose, demo_geometry):
@@ -112,7 +109,7 @@ def test_compensated_tip_velocity_vanishes(rng):
     for _ in range(100):
         pose, g, joints = _random_case(rng)
         pair = jacobians(pose, joints, g)
-        if singularity_measure(pair) < 1e-3:
+        if abs(pair.sigma) < 1e-3:
             continue
         psi_dot, theta_dot = rng.uniform(-10, 10, 2)
         qd = compensation_rates(pair, psi_dot, theta_dot)
@@ -151,7 +148,7 @@ def test_acceleration_residual_direct_substitution(rng):
     for _ in range(50):
         pose, g, joints = _random_case(rng)
         pair = jacobians(pose, joints, g)
-        if singularity_measure(pair) < 1e-3:
+        if abs(pair.sigma) < 1e-3:
             continue
         psi_dot, theta_dot = rng.uniform(-10, 10, 2)
         psi_dd, theta_dd = rng.uniform(-5, 5, 2)
@@ -170,9 +167,7 @@ def test_tip_rates_forward_relation(demo_pose, demo_geometry, demo_tip):
     joints = ik_full(demo_pose, demo_tip, demo_geometry)
     pair = jacobians(demo_pose, joints, demo_geometry)
     rates = InputRates(1.0, -2.0, 3.0, 0.5, -0.25)
-    b_dot = jacobian_rate(demo_pose, joints, demo_geometry, rates)
-    task = tip_rates(pair, b_dot, rates)
-    assert np.allclose(task.tip_vel, pair.b @ rates.rates_internal(), atol=1e-15)
+    tip_vel = pair.b @ rates.rates_internal()
     # Velocity oracle: finite difference of the tip along the rate direction.
     h = 1e-6
     j_plus = SphericalJoints(joints.q1 + h * rates.q1_dot,
@@ -191,21 +186,22 @@ def test_tip_rates_forward_relation(demo_pose, demo_geometry, demo_tip):
                               demo_pose.phi)
     numeric = (fk_tip_fixed(pose_plus, j_plus, demo_geometry)
                - fk_tip_fixed(pose_minus, j_minus, demo_geometry)) / (2 * h)
-    assert np.allclose(task.tip_vel, numeric, atol=1e-6)
+    assert np.allclose(tip_vel, numeric, atol=1e-6)
 
 
 def test_singularity_measure_analytic_oracle(rng):
-    # The normalized joint-block determinant reduces to |cos q2 * cos beta|.
+    # sigma is the determinant of the joint block of B with its two angle
+    # columns divided by q3: computed here from B itself, not the closed form.
     for _ in range(300):
         pose, g, joints = _random_case(rng)
-        measure = singularity_measure(jacobians(pose, joints, g))
-        oracle = abs(math.cos(math.radians(joints.q2)) * math.cos(math.radians(g.beta)))
-        assert measure == pytest.approx(oracle, abs=1e-12)
+        pair = jacobians(pose, joints, g)
+        oracle = np.linalg.det(pair.b[:, :3]) / joints.q3**2
+        assert pair.sigma == pytest.approx(oracle, abs=1e-12)
 
 
 def test_singularity_measure_vanishes_at_q2_90(demo_pose):
     g = left_geometry(q2_limit=95.0)
-    measure = singularity_measure(jacobians(demo_pose, SphericalJoints(10, 90, 150), g))
+    measure = abs(jacobians(demo_pose, SphericalJoints(10, 90, 150), g).sigma)
     assert measure <= 1e-12
 
 
@@ -215,8 +211,8 @@ def test_singularity_measure_mirror_symmetric(demo_pose, rng):
     for _ in range(100):
         q1, q2 = rng.uniform(-80, 80, 2)
         q3 = rng.uniform(20, 280)
-        m_left = singularity_measure(jacobians(demo_pose, SphericalJoints(q1, q2, q3), left))
-        m_right = singularity_measure(jacobians(demo_pose, SphericalJoints(q1, -q2, q3), right))
+        m_left = abs(jacobians(demo_pose, SphericalJoints(q1, q2, q3), left).sigma)
+        m_right = abs(jacobians(demo_pose, SphericalJoints(q1, -q2, q3), right).sigma)
         assert m_left == pytest.approx(m_right, abs=1e-12)
 
 
@@ -224,7 +220,7 @@ def test_compensation_raises_near_singularity(demo_pose):
     g = left_geometry(q2_limit=95.0)
     joints = SphericalJoints(10.0, 90.0 - 1e-7, 150.0)
     pair = jacobians(demo_pose, joints, g)
-    assert singularity_measure(pair) < 1e-8
+    assert abs(pair.sigma) < 1e-8
     with pytest.raises(SingularConfigurationError):
         compensation_rates(pair, 1.0, 1.0)
 
@@ -232,8 +228,41 @@ def test_compensation_raises_near_singularity(demo_pose):
 def test_determinant_sweep_decays_toward_singularity(demo_pose):
     g = left_geometry(q2_limit=95.0)
     measures = [
-        singularity_measure(jacobians(demo_pose, SphericalJoints(10, q2, 150), g))
+        abs(jacobians(demo_pose, SphericalJoints(10, q2, 150), g).sigma)
         for q2 in (0.0, 30.0, 60.0, 85.0, 89.9, 90.0)
     ]
     assert all(a > b for a, b in zip(measures, measures[1:]))
     assert measures[-1] <= 1e-12
+
+
+_SINGULAR = "normalized joint-block |det| = 1.000e-08 <= 1e-08"
+_FLIPPED = ("joint-block determinant changed sign since the previous sample; "
+            "the motion crosses a singularity between samples")
+
+
+@pytest.mark.parametrize(
+    "previous, sigma, error",
+    [
+        (None, SIGMA_MIN, _SINGULAR),
+        (None, -SIGMA_MIN, _SINGULAR),
+        (None, math.nextafter(SIGMA_MIN, 1.0), None),
+        (None, -math.nextafter(SIGMA_MIN, 1.0), None),
+        (0.5, -0.5, _FLIPPED),
+        (-0.5, 0.5, _FLIPPED),
+        (0.0, -0.5, None),
+        (-0.5, -0.5, None),
+        # NaN trips neither comparison.
+        (None, math.nan, None),
+        (0.5, math.nan, None),
+    ],
+)
+def test_singularity_checks_and_singular_faults_agree_at_the_edges(previous, sigma, error):
+    assert singular_faults(np.array([sigma]), previous).tolist() == [error is not None]
+    if error is None:
+        check_nonsingular(sigma)
+        check_same_sign(previous, sigma)
+    else:
+        with pytest.raises(SingularConfigurationError) as err:
+            check_nonsingular(sigma)
+            check_same_sign(previous, sigma)
+        assert str(err.value) == error

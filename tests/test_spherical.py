@@ -13,16 +13,24 @@ from rcmkin import (
     SphericalJoints,
     UnreachableError,
     fk_tip_fixed,
-    fk_tip_fixed_chain,
     ik_full,
     ik_tip_platform,
     left_geometry,
     mirrored,
+)
+from rcmkin.spherical import (
+    MIN_TIP_NORM,
+    REACH_TOL,
+    check_ik,
+    check_joints,
+    fk_tip_fixed_chain,
+    ik_faults,
+    joint_faults,
     module_matrix,
-    rcm_fixed,
     tip_in_platform,
 )
-from rcmkin.spherical import check_joints, joint_faults
+from rcmkin.transforms import euler_xyz
+from rcmkin.validation import _random_geometry, _random_joints, _random_pose
 
 # Joints reaching the demo tip (50, -50, -620) from the demo pose, frozen
 # from an independent damped least-squares solve of the tip residual.
@@ -30,16 +38,7 @@ DEMO_JOINTS = SphericalJoints(3.088924333053812, -38.869484058851796, 147.768732
 
 
 def _random_setup(rng, swing=80.0):
-    pose = PlatformPose(
-        rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-700, -300),
-        rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(-180, 180),
-    )
-    g = left_geometry(alpha=rng.uniform(0, 30), beta=rng.uniform(0, 30),
-                      port_spacing=rng.uniform(5, 20))
-    joints = SphericalJoints(
-        rng.uniform(-swing, swing), rng.uniform(-swing, swing), rng.uniform(20, 280)
-    )
-    return pose, g, joints
+    return _random_pose(rng), _random_geometry(rng), _random_joints(rng, margin=90.0 - swing)
 
 
 def test_module_matrix_straight_chain():
@@ -132,6 +131,40 @@ def test_check_joints_and_joint_faults_agree_at_the_travel_ends(joints, error):
         with pytest.raises(JointLimitError) as err:
             check_joints(SphericalJoints(*joints), g)
         assert str(err.value) == error
+
+
+_REACH = 1.0 + REACH_TOL
+
+
+@pytest.mark.parametrize(
+    "q3, sin_q2, error",
+    [
+        (MIN_TIP_NORM, 0.0, None),
+        (math.nextafter(MIN_TIP_NORM, math.inf), 0.0, None),
+        (math.nextafter(MIN_TIP_NORM, 0.0), 0.0,
+         (DegenerateInputError, "tip vector norm 1e-09 mm is below 1e-09 mm")),
+        (100.0, _REACH, None),
+        (100.0, -_REACH, None),
+        (100.0, math.nextafter(_REACH, 0.0), None),
+        (100.0, math.nextafter(_REACH, math.inf),
+         (UnreachableError, "tip direction outside the insertion cone (|sin q2| = 1)")),
+        (100.0, -math.nextafter(_REACH, math.inf),
+         (UnreachableError, "tip direction outside the insertion cone (|sin q2| = 1)")),
+        # NaN passes the direction and reach checks and fails the travel.
+        (100.0, math.nan, None),
+        (math.nan, 0.0, (JointLimitError, "q3 = nan mm outside [0, 300] mm")),
+    ],
+)
+def test_check_ik_and_ik_faults_agree_at_the_edges(q3, sin_q2, error):
+    g = left_geometry()
+    grid = SphericalJoints(np.array([0.0]), np.array([0.0]), np.array([q3]))
+    assert ik_faults(grid, np.array([sin_q2]), g).tolist() == [error is not None]
+    if error is None:
+        check_ik(SphericalJoints(0.0, 0.0, q3), sin_q2, g)
+    else:
+        with pytest.raises(error[0]) as err:
+            check_ik(SphericalJoints(0.0, 0.0, q3), sin_q2, g)
+        assert str(err.value) == error[1]
 
 
 def test_fk_trivial_straight_down():
@@ -289,10 +322,12 @@ def test_fk_ik_round_trip_on_both_branches(
 
 def test_rcm_invariance_zero_insertion_matches_port(demo_pose, rng):
     g = left_geometry()
+    # The left port sits at (-10, 0, 0) in the platform frame.
+    port = euler_xyz(*demo_pose.angles_rad) @ [-10.0, 0.0, 0.0] + demo_pose.position
     for _ in range(100):
         joints = SphericalJoints(rng.uniform(-80, 80), rng.uniform(-80, 80), 0.0)
         tip = fk_tip_fixed(demo_pose, joints, g)
-        assert np.allclose(tip, rcm_fixed(demo_pose, g.port), atol=1e-12)
+        assert np.allclose(tip, port, atol=1e-12)
 
 
 def test_mirrored_geometry_reflects_tip(rng):

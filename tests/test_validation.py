@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import is_rotation
 
 from rcmkin import differential, validation
 
@@ -89,10 +90,15 @@ def test_numeric_ik_oracle_fails_when_the_solver_does_not_converge(monkeypatch):
 
 def test_importing_the_package_loads_no_scipy():
     src = Path(validation.__file__).resolve().parents[1]
-    probe = "import sys, rcmkin, rcmkin.cli, rcmkin.validation; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+    probes = [
+        "import sys, rcmkin, rcmkin.cli, rcmkin.validation; print('scipy' in sys.modules)",
+        # The oracles stay off the production import path.
+        "import sys, rcmkin, rcmkin.cli; print('rcmkin.validation' in sys.modules)",
+    ]
+    for probe in probes:
+        done = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False", probe
 
 
 def test_report_formatting():
@@ -105,8 +111,6 @@ def test_report_formatting():
 
 
 def test_quaternion_oracle_is_a_rotation(rng):
-    from rcmkin.transforms import is_rotation
-
     for psi, theta, phi in rng.uniform(-3, 3, (100, 3)):
         assert is_rotation(validation.euler_quaternion_oracle(psi, theta, phi), tol=1e-12)
 
