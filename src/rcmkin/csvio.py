@@ -12,8 +12,11 @@ next power of ten keeps one more digit: 9.99999999996 is written
 
 Tables are formatted `_BLOCK_ROWS` rows at a time: the block's column
 slices are stacked into one array, the decimals of every value come from
-`np.log10`, and one `%` call writes the whole block. The text is
-byte-identical to `format_number` applied value by value.
+`np.log10`, and one `%` call writes the whole block. A column whose text is
+the same on every row of a block (a held pose, joint or tip) is formatted
+once and written into the `%` template, so only the other columns' values
+reach that call. The text is byte-identical to `format_number` applied value
+by value.
 """
 
 from __future__ import annotations
@@ -89,10 +92,17 @@ def _format_block(block: np.ndarray) -> str:
     One `%` call formats the whole block. "%.*f" rounds as format_number's
     f-string does; adding 0.0 turns -0.0 into 0.0, and 0 decimals write zero
     and the non-finite values as "0", "nan", "inf" and "-inf".
+
+    A column whose text is the same on every row is formatted once and
+    written into the template. It is one whose values are all finite and
+    share one decimal count, and whose min and max print alike: at a fixed
+    decimal count "%.*f" rounds correctly, hence monotonically, so every
+    value between them prints alike too.
     """
     values = block + 0.0
     magnitude = np.abs(values)
-    usable = np.isfinite(values) & (values != 0.0)
+    finite = np.isfinite(values)
+    usable = finite & (values != 0.0)
     exponent = np.log10(magnitude, out=np.zeros_like(magnitude), where=usable)
     floor = np.floor(exponent)
     # np.log10 may differ from math.log10 by an ulp next to a power of ten;
@@ -101,11 +111,22 @@ def _format_block(block: np.ndarray) -> str:
     for i in np.flatnonzero(near):
         floor.flat[i] = math.floor(math.log10(magnitude.flat[i]))
     decimals = np.where(usable, np.maximum(0.0, SIGNIFICANT_DIGITS - 1 - floor), 0.0)
+    decimals = decimals.astype(np.int64)
     rows, cols = values.shape
+    cells = ["%.*f"] * cols
+    varying = np.ones(cols, dtype=bool)
+    same = np.flatnonzero(finite.all(axis=0) & (decimals == decimals[0]).all(axis=0))
+    spans = values[:, same]
+    for j, places, low, high in zip(same.tolist(), decimals[0, same].tolist(),
+                                    spans.min(axis=0).tolist(), spans.max(axis=0).tolist()):
+        text = "%.*f" % (places, low)
+        if low == high or "%.*f" % (places, high) == text:
+            cells[j], varying[j] = text, False
+    values, decimals = values[:, varying], decimals[:, varying]
     flat = [None] * (2 * values.size)
-    flat[0::2] = decimals.astype(np.int64).ravel().tolist()
+    flat[0::2] = decimals.ravel().tolist()
     flat[1::2] = values.ravel().tolist()
-    return "\n".join([",".join(["%.*f"] * cols)] * rows) % tuple(flat)
+    return "\n".join([",".join(cells)] * rows) % tuple(flat)
 
 
 def _table_text(columns: list[np.ndarray]) -> str:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from rcmkin import csvio, plan_type4
+from rcmkin import (ProfileLimits, SphericalJoints, csvio, plan_type2_insert,
+                    plan_type3_manipulate, plan_type4)
 from rcmkin.csvio import format_number
 from rcmkin.scenario import endoscope_tips
 
@@ -111,13 +112,28 @@ def _scalar_rows(plan, subset, endoscope):
         yield row
 
 
-@pytest.mark.parametrize("subset", [None, "fig5", "fig7"])
-def test_plan_csv_text_equals_the_scalar_formatter(
-    subset, demo_pose, demo_geometry, demo_tip, demo_limits
-):
-    # 451 samples: more than one row block.
-    plan = plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.01,
-                      [(demo_geometry, demo_tip)])
+@pytest.fixture
+def long_plans(demo_pose, demo_geometry, demo_tip, demo_limits):
+    """Plans of more than one row block: the demo reorientation, and a type-2
+    and a type-3 plan, whose pose, held joints and endoscope tip repeat on
+    every row."""
+    return {
+        "type4": plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.01,
+                            [(demo_geometry, demo_tip)]),
+        "type2": plan_type2_insert(demo_pose, SphericalJoints(5.0, -20.0, 0.0), 100.0,
+                                   demo_geometry, ProfileLimits(20.0, 10.0), 0.01),
+        "type3": plan_type3_manipulate(demo_pose, SphericalJoints(0.0, 10.0, 150.0),
+                                       SphericalJoints(25.0, -15.0, 200.0), demo_geometry,
+                                       demo_limits, 0.01),
+    }
+
+
+@pytest.mark.parametrize("kind, subset", [
+    pytest.param(kind, subset, id=str(subset) if kind == "type4" else f"{kind}-{subset}")
+    for kind in ("type4", "type2", "type3") for subset in (None, "fig5", "fig7")
+])
+def test_plan_csv_text_equals_the_scalar_formatter(kind, subset, long_plans):
+    plan = long_plans[kind]
     endoscope = endoscope_tips(plan, 40.0)
     assert plan.samples > csvio._BLOCK_ROWS
     schema, _, body = csvio.plan_csv_text(plan, subset, endoscope).split("\n", 2)
@@ -133,6 +149,59 @@ _SHAPES = array_shapes(min_dims=2, max_dims=2, max_side=12)
 @given(arrays(np.float64, _SHAPES,
               elements=st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))))
 def test_block_formatter_equals_format_number(block):
+    assert csvio._table_text([block]) == _scalar_text(block)
+
+
+#: Near-constant column bases: rounding ties at 10 significant digits, powers
+#: of ten (where ulp steps change the decimal count), zeros, and values of
+#: 1e9 and up, which print with 0 decimals as zero does.
+_NEAR_BASES = [0.12345678905, 1.0000000005, 9.9999999995, -9.9999999995,
+               *(10.0 ** k for k in (-300, -5, 0, 1, 2, 9, 10, 15)), -1e10, 0.0, -0.0, 2.5]
+_ODD_VALUES = [0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+
+
+def _ulp_steps(base: float, steps: np.ndarray) -> np.ndarray:
+    """base moved steps[i] ulps, one np.nextafter at a time, in row i."""
+    column, left = np.full(len(steps), base), steps.copy()
+    while left.any():
+        column = np.where(left == 0, column, np.nextafter(column, np.copysign(np.inf, left)))
+        left -= np.sign(left)
+    return column
+
+
+@st.composite
+def _near_constant_blocks(draw):
+    """Columns of a base plus |k| <= 3 ulps; some hold one odd value (a zero
+    of either sign, a NaN or an infinity), some mix +0 and -0."""
+    rows = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        steps = draw(arrays(np.int64, rows, elements=st.integers(-3, 3)))
+        column = _ulp_steps(draw(st.sampled_from(_NEAR_BASES)), steps)
+        shape = draw(st.sampled_from(["ulps", "one odd value", "signed zeros"]))
+        if shape == "one odd value":
+            column[draw(st.integers(0, rows - 1))] = draw(st.sampled_from(_ODD_VALUES))
+        elif shape == "signed zeros":
+            column = np.where(steps < 0, -0.0, 0.0)
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+_TIE = 0.12345678905
+
+
+@given(_near_constant_blocks())
+# Each example breaks one condition of the fold: min and max straddle a
+# rounding tie; the decimal count changes at 10, in either row order; a NaN
+# sits in a column of 0 decimals; signed zeros; a single row.
+@example(np.array([[_TIE], [np.nextafter(_TIE, 1.0)], [np.nextafter(_TIE, 0.0)]]))
+@example(np.array([[10.0], [np.nextafter(10.0, 0.0)]]))
+@example(np.array([[np.nextafter(10.0, 0.0)], [10.0]]))
+@example(np.array([[0.0], [float("nan")]]))
+@example(np.array([[1e10], [float("nan")], [1e10]]))
+@example(np.array([[-0.0], [0.0], [-0.0]]))
+@example(np.array([[9.9999999995, -0.0, float("inf"), 1e-300]]))
+def test_near_constant_columns_equal_format_number(block):
     assert csvio._table_text([block]) == _scalar_text(block)
 
 
