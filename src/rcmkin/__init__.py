@@ -36,7 +36,6 @@ from .platform import (
     RcmPort,
     check_pose,
     left_port,
-    right_port,
 )
 from .scenario import (
     InstrumentSetup,

@@ -50,10 +50,6 @@ def left_port(spacing: float = DEFAULT_PORT_SPACING) -> RcmPort:
     return RcmPort((-spacing, 0.0, 0.0), PortSide.LEFT)
 
 
-def right_port(spacing: float = DEFAULT_PORT_SPACING) -> RcmPort:
-    return RcmPort((spacing, 0.0, 0.0), PortSide.RIGHT)
-
-
 @dataclass(frozen=True)
 class PlatformPose:
     """Pose of the platform reference point: x, y, z in mm; psi, theta, phi

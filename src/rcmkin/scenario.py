@@ -70,7 +70,6 @@ from .trajectory import (
     plan_type3_manipulate,
     plan_type4,
 )
-from .transforms import euler_xyz
 
 _MOTION_NAMES = {"type2": MotionType.INSERT, "type3": MotionType.MANIPULATE,
                  "type4": MotionType.REORIENT}
@@ -100,7 +99,6 @@ class Scenario:
     branch: IkBranch = IkBranch.PRINCIPAL
     delta_psi: float = 0.0
     delta_theta: float = 0.0
-    active: str | None = None
     target_q3: float | None = None
     target_joints: SphericalJoints | None = None
     endoscope_insertion: float | None = None
@@ -177,10 +175,15 @@ class _KeyValues:
                 )
 
 
+#: The geometry keys, in the order they are read; an absent one takes the
+#: default of ``left_geometry``.
+_GEOMETRY_KEYS = (
+    "alpha", "beta", "port_spacing", "radius", "q3_min", "q3_max", "q1_limit", "q2_limit",
+)
+
 _KNOWN_KEYS = {
     "motion", "pose", "branch", "dt", "omega_max", "eps_max", "output",
-    "alpha", "beta", "radius", "port_spacing", "q3_min", "q3_max",
-    "q1_limit", "q2_limit", "mirror_alpha",
+    *_GEOMETRY_KEYS, "mirror_alpha",
     "tip_left", "tip_right", "delta_psi", "delta_theta",
     "instrument", "start_joints", "target_q3", "target_joints",
     "endoscope_insertion",
@@ -246,16 +249,7 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
     branch = kv.word("branch", {b.value: b for b in IkBranch}, IkBranch.PRINCIPAL)
     output = kv.raw("output") or DEFAULT_OUTPUT
 
-    geometry_kw = dict(
-        alpha=kv.number("alpha", 10.0),
-        beta=kv.number("beta", 10.0),
-        port_spacing=kv.number("port_spacing", 10.0),
-        radius=kv.number("radius", 110.0),
-        q3_min=kv.number("q3_min", 0.0),
-        q3_max=kv.number("q3_max", 300.0),
-        q1_limit=kv.number("q1_limit", 90.0),
-        q2_limit=kv.number("q2_limit", 90.0),
-    )
+    geometry_kw = {key: kv.number(key) for key in _GEOMETRY_KEYS if key in kv.values}
     try:
         left = left_geometry(**geometry_kw)
     except ValueError as exc:
@@ -297,7 +291,6 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
         kv.require("start_joints")
         name = kv.word("instrument", {"left": "left", "right": "right"})
         start = SphericalJoints(*kv.floats("start_joints", 3))
-        scenario.active = name
         scenario.instruments.append(InstrumentSetup(name, by_name[name], start=start))
         if motion is MotionType.INSERT:
             kv.require("target_q3")
@@ -323,10 +316,13 @@ def bundled_scenario(name: str) -> Scenario:
 
 def endoscope_tips(plan: MotionPlan, insertion: float) -> np.ndarray:
     """Fixed-frame endoscope tip per sample for a pass-through insertion
-    depth along the platform -Z' axis."""
-    position, angles = plan.pose_grid[:, :3], np.radians(plan.pose_grid[:, 3:])
-    rotation = euler_xyz(angles[:, 0], angles[:, 1], angles[:, 2])
-    return rotation @ np.array([0.0, 0.0, -insertion]) + position
+    depth along the platform -Z' axis: position - insertion R e_z, where
+    R e_z = (sin theta, -sin psi cos theta, cos psi cos theta) of the X-Y-Z
+    Euler rotation R does not depend on phi."""
+    psi, theta = np.radians(plan.pose_grid[:, 3]), np.radians(plan.pose_grid[:, 4])
+    cos_theta = np.cos(theta)
+    axis = np.column_stack([np.sin(theta), -np.sin(psi) * cos_theta, np.cos(psi) * cos_theta])
+    return plan.pose_grid[:, :3] - insertion * axis
 
 
 def run_scenario(scenario: Scenario) -> tuple[MotionPlan, np.ndarray | None]:

@@ -52,7 +52,7 @@ TRAVEL_TOL = 1e-12
 MIN_TIP_NORM = 1e-9
 
 #: Bound (mm) on the magnitude of tip and platform coordinates given to
-#: ``ik_full``; below it no step of the IK can overflow.
+#: ``ik_full`` or ``plan_type4``; below it no step of the IK can overflow.
 MAX_COORDINATE = 1e300
 
 
@@ -279,6 +279,16 @@ def ik_faults(
     return degenerate | unreachable | joint_faults(joints, geometry)
 
 
+def check_coordinates(*points: np.ndarray) -> None:
+    """Raise UnreachableError unless every coordinate of the tip and platform
+    positions (each (3,), mm) is finite and below MAX_COORDINATE in magnitude."""
+    if not all(abs(c) < MAX_COORDINATE for point in points for c in point.tolist()):
+        raise UnreachableError(
+            f"tip and platform coordinates must be finite and below "
+            f"{MAX_COORDINATE:g} mm in magnitude"
+        )
+
+
 def ik_grid(
     rotation: np.ndarray,
     position: np.ndarray,
@@ -358,12 +368,8 @@ def ik_full(
     frame, then solve the module chain in closed form.
     """
     check_pose(pose)
-    tip = np.asarray(tip_fixed, dtype=float)
-    if not all(abs(c) < MAX_COORDINATE for c in (*tip.tolist(), pose.x, pose.y, pose.z)):
-        raise UnreachableError(
-            f"tip and platform coordinates must be finite and below "
-            f"{MAX_COORDINATE:g} mm in magnitude"
-        )
+    tip, position = np.asarray(tip_fixed, dtype=float), pose.position
+    check_coordinates(tip, position)
     rotation = euler_xyz(*pose.angles_rad)
-    v = rotation.T @ (tip - pose.position) - geometry.port.offset_vec
+    v = rotation.T @ (tip - position) - geometry.port.offset_vec
     return ik_tip_platform(v, geometry, branch)

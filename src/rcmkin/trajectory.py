@@ -18,13 +18,16 @@ consecutive samples (the plan would cross a singularity between them).
 Along a type 2/3 trapezoid q2 is monotone, so a +/-90 deg crossing is
 caught at the first sample past it. A type 4 plan holds one IK branch, on
 which cos q2 keeps its sign, so only the |sigma| threshold can fire there.
-Each block is screened with masks that share their comparisons with the
-checks (``ik_faults``, ``joint_faults``, ``singular_faults``,
-``near_gimbal``), with sigma's sign carried across blocks. The earliest flagged
-sample wins, at equal samples the first instrument, and its checks are
-replayed on its grid values inside ``_at_sample``: a rejection raises the
-error, message and sample time that checking sample by sample would, and
-nothing after the failing block is computed.
+The screens are masks that share their comparisons with the checks
+(``ik_faults``, ``joint_faults``, ``singular_faults``, ``near_gimbal``). A
+type 2/3 joint grid exists before any kinematics runs, so it is screened
+once, whole, before any tip is computed. A type 4 plan solves IK block by
+block and screens each block as it is solved, with sigma's sign carried
+across blocks, so nothing after its failing block is computed. The
+earliest flagged sample wins, at equal samples the first instrument, and
+its checks are replayed on its grid values inside ``_at_sample``: a
+rejection raises the error, message and sample time that checking sample
+by sample would.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .spherical import (
     IkBranch,
     SphericalGeometry,
     SphericalJoints,
+    check_coordinates,
     check_ik,
     check_joints,
     ik_faults,
@@ -278,6 +282,18 @@ def _at_sample(t: float):
     raise AssertionError(f"sample t = {t!r} s was flagged but passed its checks")
 
 
+def _synchronized(deltas: Sequence[float], limits: ProfileLimits, dt: float):
+    """One trapezoid per displacement, each stretched to the slowest one's
+    duration, sampled on their time grid: the times (n,) and the
+    displacements, rates and accelerations (n, k), one column per entry of
+    ``deltas``."""
+    profiles = [plan_profile(delta, limits) for delta in deltas]
+    t_total = max(p.t_total for p in profiles)
+    times = time_grid(t_total, dt)
+    sampled = [sample_profile(stretch_profile(p, t_total), times) for p in profiles]
+    return (times, *(np.column_stack(columns) for columns in zip(*sampled)))
+
+
 def _first_fault(faults: list[np.ndarray]) -> tuple[int, int] | None:
     """(sample, instrument) of the earliest sample flagged in one mask per
     instrument; at equal samples the first instrument. None if none is."""
@@ -301,18 +317,6 @@ def _guard(sigma: np.ndarray, i: int, previous: float | None) -> None:
     check_same_sign(previous if i == 0 else sigma[i - 1], sigma[i])
 
 
-def _empty_track(geometry: SphericalGeometry, samples: int) -> InstrumentTrack:
-    return InstrumentTrack(
-        geometry.port.side.value,
-        geometry,
-        np.empty((samples, 3)),
-        np.empty((samples, 3)),
-        np.empty((samples, 3)),
-        np.empty((samples, 3)),
-        np.empty(samples),
-    )
-
-
 def plan_type4(
     start: PlatformPose,
     delta_psi: float,
@@ -331,22 +335,16 @@ def plan_type4(
     is held constant across the whole plan.
     """
     check_pose(start)
-    profile_psi = plan_profile(delta_psi, limits)
-    profile_theta = plan_profile(delta_theta, limits)
-    t_total = max(profile_psi.t_total, profile_theta.t_total)
-    profile_psi = stretch_profile(profile_psi, t_total)
-    profile_theta = stretch_profile(profile_theta, t_total)
-
-    times = time_grid(t_total, dt)
-    n = len(times)
-    s_psi, v_psi, a_psi = sample_profile(profile_psi, times)
-    s_theta, v_theta, a_theta = sample_profile(profile_theta, times)
-    psi, theta = start.psi + s_psi, start.theta + s_theta
-    pose_rates = np.column_stack([v_psi, v_theta])
-    pose_accels = np.column_stack([a_psi, a_theta])
     position = start.position
     targets = [np.asarray(tip, dtype=float) for _, tip in instruments]
-    tracks = [_empty_track(g, n) for g, _ in instruments]
+    check_coordinates(position, *targets)
+    times, moved, pose_rates, pose_accels = _synchronized((delta_psi, delta_theta), limits, dt)
+    n = len(times)
+    psi, theta = start.psi + moved[:, 0], start.theta + moved[:, 1]
+    tracks = [
+        InstrumentTrack(g.port.side.value, g, *(np.empty((n, 3)) for _ in range(4)), np.empty(n))
+        for g, _ in instruments
+    ]
     last_sigma = [None] * len(tracks)
 
     for lo in range(0, n, _BLOCK):
@@ -409,38 +407,26 @@ def _plan_joint_space(
     check_pose(pose)
     check_joints(start, geometry)
     check_joints(target, geometry)
-    profiles = [
-        plan_profile(target.q1 - start.q1, limits),
-        plan_profile(target.q2 - start.q2, limits),
-        plan_profile(target.q3 - start.q3, limits),
-    ]
-    t_total = max(p.t_total for p in profiles)
-    profiles = [stretch_profile(p, t_total) for p in profiles]
-
-    times = time_grid(t_total, dt)
+    times, moved, rates, accels = _synchronized(
+        (target.q1 - start.q1, target.q2 - start.q2, target.q3 - start.q3), limits, dt
+    )
     n = len(times)
-    track = _empty_track(geometry, n)
-    origin = (start.q1, start.q2, start.q3)
-    for column, profile in enumerate(profiles):
-        moved, track.rates[:, column], track.accels[:, column] = sample_profile(profile, times)
-        track.joints[:, column] = origin[column] + moved
-    r = platform_partials(pose.psi, pose.theta, pose.phi, 0)
-    previous = None
+    grid = np.array([start.q1, start.q2, start.q3]) + moved
+    joints = SphericalJoints(*grid.T)
+    sigma = signed_measure(joints, geometry)
+    faults = joint_faults(joints, geometry) | singular_faults(sigma, None)
+    if faults.any():
+        i = int(np.argmax(faults))
+        with _at_sample(times[i]):
+            check_joints(_row(joints, i), geometry)
+            _guard(sigma, i, None)
 
+    r = platform_partials(pose.psi, pose.theta, pose.phi, 0)
+    tip = np.empty((n, 3))
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        joints = SphericalJoints(*track.joints[block].T)
-        sigma = signed_measure(joints, geometry)
-        faults = joint_faults(joints, geometry) | singular_faults(sigma, previous)
-        if faults.any():
-            i = int(np.argmax(faults))
-            with _at_sample(times[lo + i]):
-                check_joints(_row(joints, i), geometry)
-                _guard(sigma, i, previous)
-        m = module_partials(joints.q1, joints.q2, geometry, 0)
-        track.tip[block] = tip_grid(r, m, joints.q3, geometry, pose.position)
-        track.sing[block] = np.abs(sigma)
-        previous = sigma[-1]
+        m = module_partials(joints.q1[block], joints.q2[block], geometry, 0)
+        tip[block] = tip_grid(r, m, joints.q3[block], geometry, pose.position)
 
     return MotionPlan(
         kind=kind,
@@ -449,7 +435,11 @@ def _plan_joint_space(
         pose_grid=np.tile([pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi], (n, 1)),
         pose_rates=np.zeros((n, 2)),
         pose_accels=np.zeros((n, 2)),
-        instruments=(track,),
+        instruments=(
+            InstrumentTrack(
+                geometry.port.side.value, geometry, grid, rates, accels, tip, np.abs(sigma)
+            ),
+        ),
     )
 
 

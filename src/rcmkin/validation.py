@@ -50,6 +50,12 @@ class OracleResult:
         )
 
 
+def _worse(worst: float, err: float) -> float:
+    """The larger of two errors; a NaN error, once seen, is kept (the builtin
+    max(0.0, nan) is 0.0, which would pass a check that met NaN)."""
+    return err if err > worst or math.isnan(err) else worst
+
+
 # --- quaternion algebra (w, x, y, z), used only as an oracle ---------------
 
 
@@ -141,7 +147,7 @@ def check_euler_quaternion(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleRes
     for _ in range(n):
         psi, theta, phi = rng.uniform(-math.pi, math.pi, 3)
         diff = np.abs(euler_xyz(psi, theta, phi) - euler_quaternion_oracle(psi, theta, phi))
-        worst = max(worst, float(diff.max()))
+        worst = _worse(worst, float(diff.max()))
     return OracleResult("euler-quaternion", worst, 1e-12, n)
 
 
@@ -156,7 +162,7 @@ def check_euler_roundtrip(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResu
             rng.uniform(-math.pi, math.pi),
         )
         recovered = _euler_xyz_angles(euler_xyz(*angles))
-        worst = max(worst, float(np.abs(np.subtract(angles, recovered)).max()))
+        worst = _worse(worst, float(np.abs(np.subtract(angles, recovered)).max()))
     return OracleResult("euler-roundtrip", worst, 1e-9, n)
 
 
@@ -168,7 +174,7 @@ def check_dual_path_fk(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleResult
         pose, g = _random_pose(rng), _random_geometry(rng)
         joints = _random_joints(rng)
         diff = np.abs(fk_tip_fixed(pose, joints, g) - fk_tip_fixed_chain(pose, joints, g))
-        worst = max(worst, float(diff.max()))
+        worst = _worse(worst, float(diff.max()))
     return OracleResult("dual-path-fk", worst, 1e-12, n)
 
 
@@ -184,7 +190,7 @@ def check_fk_ik_roundtrip(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleRes
         solved = ik_full(pose, tip, g, IkBranch.PRINCIPAL)
         if abs(solved.q2 - joints.q2) > 1e-6:
             flips += 1
-        worst = max(worst, float(np.abs(fk_tip_fixed(pose, solved, g) - tip).max()))
+        worst = _worse(worst, float(np.abs(fk_tip_fixed(pose, solved, g) - tip).max()))
     if flips:
         worst = math.inf  # a branch flip is a hard failure, not a small error
     return OracleResult("fk-ik-roundtrip", worst, 1e-9, n)
@@ -247,7 +253,7 @@ def check_jacobian_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
         analytic = differential.jacobians(pose, joints, g).b
         numeric = finite_difference_b(pose, joints, g)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-        worst = max(worst, float(rel.max()))
+        worst = _worse(worst, float(rel.max()))
     return OracleResult("jacobian-fd", worst, 1e-6, n)
 
 
@@ -262,7 +268,7 @@ def check_jacobian_rate_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleRes
         analytic = differential.jacobian_rate(pose, joints, g, rates)
         numeric = finite_difference_b_rate(pose, joints, g, rates)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-        worst = max(worst, float(rel.max()))
+        worst = _worse(worst, float(rel.max()))
     return OracleResult("jacobian-rate-fd", worst, 1e-6, n)
 
 
@@ -305,7 +311,7 @@ def check_numeric_ik(n: int = 100, seed: int = DEFAULT_SEED) -> OracleResult:
         if root is None:
             worst = math.inf
             break
-        worst = max(worst, float(np.abs(root - [closed.q1, closed.q2, closed.q3]).max()))
+        worst = _worse(worst, float(np.abs(root - [closed.q1, closed.q2, closed.q3]).max()))
     return OracleResult("numeric-ik", worst, 1e-6, n)
 
 

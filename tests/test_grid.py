@@ -37,6 +37,7 @@ from rcmkin import (
     sample_profile,
     stretch_profile,
 )
+from rcmkin import trajectory
 from rcmkin.differential import check_nonsingular, check_same_sign, signed_measure
 from rcmkin.trajectory import _BLOCK, time_grid
 
@@ -231,6 +232,32 @@ def test_rejection_parity_sign_change_across_a_block_boundary():
     assert "changed sign" in str(error)
     times = time_grid(t_total, t_total / (2 * _BLOCK - 1))
     assert error.sample_time == times[_BLOCK]
+
+
+@pytest.mark.parametrize(
+    "target, geometry, dt, expected",
+    [
+        # q2 crosses 90 deg between samples _BLOCK - 1 and _BLOCK (as above).
+        (SphericalJoints(0.0, 180.0, 150.0), left_geometry(q2_limit=200.0),
+         plan_profile(180.0, LIMITS).t_total / (2 * _BLOCK - 1), SingularConfigurationError),
+        # q2 reaches the singular 90 deg at the last of 5501 samples.
+        (SphericalJoints(0.0, 90.0, 150.0), left_geometry(q2_limit=120.0), 0.002,
+         SingularConfigurationError),
+    ],
+)
+def test_rejected_type3_plan_computes_no_tips(monkeypatch, target, geometry, dt, expected):
+    # The grid is screened whole before any tip, so a rejection at or after
+    # sample _BLOCK leaves the first block's tips uncomputed too.
+    calls = []
+    tip_grid = trajectory.tip_grid
+    monkeypatch.setattr(trajectory, "tip_grid", lambda *args: calls.append(1) or tip_grid(*args))
+    with pytest.raises(expected) as error:
+        plan_type3_manipulate(
+            PlatformPose(0, 0, -500, 0, 0, 0), SphericalJoints(0.0, 0.0, 150.0), target,
+            geometry, LIMITS, dt,
+        )
+    assert error.value.sample_time > (_BLOCK - 0.5) * dt
+    assert calls == []
 
 
 def _left_q1_limit_failing_at(index, dt):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from rcmkin import (
     ScenarioParseError,
     ScenarioValidationError,
     bundled_scenario,
+    endoscope_tips,
+    euler_xyz,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -142,6 +146,20 @@ def test_run_scenario_with_endoscope_track():
     assert np.allclose(endo[0], [0.0, 0.0, -580.0], atol=1e-12)
     # The endoscope tilts with the platform, unlike the held instrument tips.
     assert np.linalg.norm(endo[-1] - endo[0]) > 1.0
+
+
+@pytest.mark.parametrize("insertion", [0.0, 40.0, 123.456])
+def test_endoscope_tips_equal_the_euler_rotation_product(rng, insertion):
+    n = 500
+    pose_grid = np.column_stack([
+        rng.uniform(-100, 100, (n, 2)), rng.uniform(-700, -300, n),
+        rng.uniform(-89, 89, (n, 2)), rng.uniform(-180, 180, n),
+    ])
+    plan = SimpleNamespace(pose_grid=pose_grid)  # all endoscope_tips reads of a plan
+    angles = np.radians(pose_grid[:, 3:])
+    rotation = euler_xyz(angles[:, 0], angles[:, 1], angles[:, 2])
+    expected = rotation @ np.array([0.0, 0.0, -insertion]) + pose_grid[:, :3]
+    np.testing.assert_allclose(endoscope_tips(plan, insertion), expected, rtol=0, atol=1e-12)
 
 
 def test_mirror_alpha_flag():

@@ -241,6 +241,23 @@ def test_rejection_leaves_no_reference_cycle(demo_pose, demo_limits, motion, err
     assert unreachable == 0
 
 
+@pytest.mark.parametrize(
+    "start, tip",
+    [
+        (PlatformPose(-1e308, 0, -500, 0, 0, 0), [1.7e308, 1.7e308, 0.0]),
+        (PlatformPose(0, 0, -500, 0, 0, 0), [math.nan, 0.0, -600.0]),
+        (PlatformPose(0, 0, -500, 0, 0, 0), [10.0, -math.inf, -600.0]),
+        (PlatformPose(0, 0, -500, 0, 0, 0), [10.0, 0.0, -1e300]),
+    ],
+)
+def test_type4_rejects_coordinates_the_ik_could_overflow_on(demo_limits, start, tip):
+    # The bound of ik_full, checked before sampling: no numpy warning, no
+    # joint-limit error on NaN joints.
+    with pytest.raises(UnreachableError, match=r"finite and below 1e\+300 mm") as error:
+        plan_type4(start, 0.0, 5.0, demo_limits, 0.1, [(left_geometry(), tip)])
+    assert error.value.sample_time is None
+
+
 def test_type4_unreachable_cone(demo_limits):
     pose = PlatformPose(0, 0, -500, 0, 0, 0)
     g = left_geometry(alpha=0.0, beta=10.0)

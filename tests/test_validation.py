@@ -88,6 +88,36 @@ def test_numeric_ik_oracle_fails_when_the_solver_does_not_converge(monkeypatch):
     assert result.max_err == math.inf and not result.passed
 
 
+# check -> (module, name of the recomputation it calls, NaN version of its result)
+_NAN_CASES = {
+    "check_euler_quaternion": (validation, "euler_quaternion_oracle", lambda r: r * math.nan),
+    "check_euler_roundtrip": (validation, "_euler_xyz_angles", lambda r: (math.nan,) * 3),
+    "check_dual_path_fk": (validation, "fk_tip_fixed_chain", lambda r: r * math.nan),
+    "check_jacobian_fd": (differential, "jacobians", lambda r: replace(r, b=r.b * math.nan)),
+    "check_jacobian_rate_fd": (differential, "jacobian_rate", lambda r: r * math.nan),
+    "check_numeric_ik": (validation, "_gauss_newton", lambda r: r * math.nan),
+}
+
+
+@pytest.mark.parametrize("check", _NAN_CASES)
+def test_oracle_fails_on_a_nan_error(monkeypatch, check):
+    # Only the first case's recomputation is NaN: the later finite errors must
+    # not wash it out of the reduction (max(0.0, nan) is 0.0).
+    module, name, poison = _NAN_CASES[check]
+    original, calls = getattr(module, name), []
+
+    def first_poisoned(*args):
+        calls.append(1)
+        result = original(*args)
+        return poison(result) if len(calls) == 1 else result
+
+    monkeypatch.setattr(module, name, first_poisoned)
+    result = getattr(validation, check)(n=5)
+    assert len(calls) > 1
+    assert result.passed is False
+    assert math.isnan(result.max_err)
+
+
 def test_importing_the_package_loads_no_scipy():
     src = Path(validation.__file__).resolve().parents[1]
     probes = [
