@@ -1,5 +1,6 @@
 """Differential kinematics: tip-map Jacobians and their time derivative,
-the fixed-tip compensation solver, and the closed-form singularity measure.
+the fixed-tip compensation solver, the type-4 planner's kernel, and the
+closed-form singularity measure.
 
 Writing the tip map as F(X, Q) = f(Q) - X = 0 with inputs
 Q = (q1, q2, q3, psi, theta) makes the end-effector Jacobian the constant
@@ -10,10 +11,17 @@ happens only at this module's public boundaries.
 B and its time derivative B-dot are closed-form products of the tip map's
 rotation factors (``platform_partials``, ``module_partials``): each
 derivative in an angle inserts that axis's generator in front of its
-rotation. The kernels work on stacks with the sample index leading: the
-planners call ``compensation_grid`` and ``tip_grid`` on a block of the time
-grid, and ``jacobians``, ``jacobian_rate`` and ``compensation_*`` run the
-same kernels on one configuration. The normalized singularity measure is
+rotation. ``jacobians``, ``jacobian_rate`` and ``compensation_*`` evaluate
+them on one configuration: they are the paper's public velocity relation,
+and the tests check the planners against them. ``tip_grid`` runs the same
+products on stacks with the sample index leading, for the joint-space
+planners' tip column.
+
+The reorientation planner does not build B. Premultiplying the relation by
+R^T leaves every term in the platform frame as a few (n,) columns over a
+block of the time grid: ``platform_rotation`` and ``platform_spin`` per
+block, ``hold_ik`` for the joints and ``hold_motion`` for the rates,
+accelerations and tips, in closed form. The normalized singularity measure is
 closed-form too, |sigma| with sigma = -cos q2 cos beta; ``singular_faults``
 flags the samples of a grid that ``check_nonsingular`` or
 ``check_same_sign`` would reject.
@@ -28,7 +36,13 @@ import numpy as np
 
 from .errors import SingularConfigurationError
 from .platform import PlatformPose, check_pose
-from .spherical import SphericalGeometry, SphericalJoints, check_joints
+from .spherical import (
+    MIN_TIP_NORM,
+    IkBranch,
+    SphericalGeometry,
+    SphericalJoints,
+    check_joints,
+)
 from .transforms import rot_x, rot_y, rot_z
 
 #: Abort threshold on the normalized joint-block determinant.
@@ -268,27 +282,166 @@ def jacobian_rate(
     return _b_rate(m, r, joints.q3, geometry, rates.rates_internal())
 
 
-def compensation_grid(
-    r: dict,
-    m: dict,
-    q3: np.ndarray,
-    geometry: SphericalGeometry,
-    pose_rates: np.ndarray,
-    pose_accels: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint rates and accelerations (n, 3) that hold the tip over a block:
-    ``compensation_rates`` and ``compensation_accels`` on every sample.
+# --- the type-4 kernel: the velocity relation in the platform frame ---------
+#
+# Premultiplied by R^T, the relation with the tip held loses the platform
+# rotation: u = R^T (tip - p) = offset + q3 m, u' = -W x u and
+# u'' = -W' x u - W x u', with W the platform's angular velocity in its own
+# frame. The joint rates solve [q3 m1, q3 m2, m] q' = u', where m1, m2 are
+# the partials of m in q1 and q2; the accelerations solve the same system.
+# Every vector is a tuple of three (n,) columns over a block of the grid, and
+# the module's vectors are taken in the frame after rot_y(alpha).
 
-    ``r`` and ``m`` are the block's order-2 partials, q3 (n,) its insertion
-    depths, pose rates and accelerations (n, 2) in deg/s and deg/s^2. Every
-    sample must already have passed the singularity guard.
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _turn_y(v, c: float, s: float):
+    """rot_y(angle) v, given cos and sin of the angle."""
+    return (c * v[0] + s * v[2], v[1], c * v[2] - s * v[0])
+
+
+def _alpha_frame(geometry: SphericalGeometry):
+    """cos alpha, sin alpha and the port offset in the frame after rot_y(alpha)."""
+    ca, sa = math.cos(math.radians(geometry.alpha)), math.sin(math.radians(geometry.alpha))
+    return ca, sa, _turn_y(geometry.port.offset, ca, -sa)
+
+
+def platform_rotation(psi, theta, phi: float):
+    """The direction cosines of R = rot_x(psi) rot_y(theta) rot_z(phi) over
+    grids of psi and theta (deg), phi held (deg): R's rows, each a tuple of
+    three columns, expanded as in ``fk_tip_fixed``."""
+    cps, sps = np.cos(_DEG * psi), np.sin(_DEG * psi)
+    ct, st = np.cos(_DEG * theta), np.sin(_DEG * theta)
+    cph, sph = math.cos(math.radians(phi)), math.sin(math.radians(phi))
+    return (
+        (ct * cph, -ct * sph, st),
+        (cps * sph + sps * st * cph, cps * cph - sps * st * sph, -sps * ct),
+        (sps * sph - cps * st * cph, sps * cph + cps * st * sph, cps * ct),
+    )
+
+
+def platform_spin(theta, phi: float, pose_rates: np.ndarray, pose_accels: np.ndarray):
+    """The platform's angular velocity W and acceleration W' in its own
+    frame (rad/s, rad/s^2) over a theta grid (deg), phi held, from the
+    (psi, theta) rates and accelerations (n, 2) in deg/s and deg/s^2.
+
+    W = psi' a + theta' b with a = R^T e_x = (ct cph, -ct sph, st) and
+    b = rot_z(phi)^T e_y = (sph, cph, 0); b is fixed, so
+    W' = psi'' a + theta'' b + psi' theta' da/dtheta.
     """
-    q3 = q3[:, None, None]
-    b = _b_matrix(m, r, q3, geometry)
-    qd = _joint_rates(b, pose_rates)
-    rates = _TO_INTERNAL * np.concatenate([qd, pose_rates], axis=-1)
-    b_dot = _b_rate(m, r, q3, geometry, rates)
-    return qd, _joint_accels(b, b_dot, rates, pose_accels)
+    ct, st = np.cos(_DEG * theta), np.sin(_DEG * theta)
+    cph, sph = math.cos(math.radians(phi)), math.sin(math.radians(phi))
+    w_psi, w_theta = _DEG * pose_rates.T
+    e_psi, e_theta = _DEG * pose_accels.T
+    a = (ct * cph, -ct * sph, st)
+    a_theta = (-st * cph, st * sph, ct)
+    w = (w_psi * a[0] + w_theta * sph, w_psi * a[1] + w_theta * cph, w_psi * a[2])
+    turn = w_psi * w_theta
+    w_dot = (
+        e_psi * a[0] + e_theta * sph + turn * a_theta[0],
+        e_psi * a[1] + e_theta * cph + turn * a_theta[1],
+        e_psi * a[2] + turn * a_theta[2],
+    )
+    return w, w_dot
+
+
+def hold_ik(
+    rotation, tip_offset: np.ndarray, geometry: SphericalGeometry, branch: IkBranch
+) -> tuple[SphericalJoints, np.ndarray]:
+    """Unchecked closed-form IK over a block of platform rotations (the rows
+    of ``platform_rotation``) for the tip at position + ``tip_offset`` (mm).
+
+    ``ik_full``'s solution without its checks: returns the joint grid
+    (deg, mm) and sin q2 before clamping, for ik_faults on the block or
+    check_ik on one sample; rejected samples hold arbitrary values.
+    """
+    d = tip_offset.tolist()
+    u = tuple(_dot(d, (rotation[0][j], rotation[1][j], rotation[2][j])) for j in range(3))
+    ca, sa, offset = _alpha_frame(geometry)
+    vx, vy, vz = (c - o for c, o in zip(_turn_y(u, ca, -sa), offset))
+    q3 = np.hypot(np.hypot(vx, vy), vz)  # overflow-safe norm
+    scale = -np.maximum(q3, MIN_TIP_NORM)
+    wx, wy, wz = vx / scale, vy / scale, vz / scale  # -m
+    cb = math.cos(math.radians(geometry.beta))
+    sin_q2 = wx / cb
+    q2 = np.arcsin(np.clip(sin_q2, -1.0, 1.0))
+    if branch is IkBranch.MIRROR:
+        q2 = math.pi - q2
+        q2 = np.where(q2 > math.pi, q2 - 2.0 * math.pi, q2)
+    ay = -math.sin(math.radians(geometry.beta))
+    az = np.cos(q2) * cb
+    q1 = np.where(
+        np.hypot(ay, az) < 1e-15,
+        0.0,  # tip along the q1 axis; q1 is free, pick zero
+        np.arctan2(ay * wz - az * wy, ay * wy + az * wz),
+    )
+    return SphericalJoints(np.degrees(q1), np.degrees(q2), q3), sin_q2
+
+
+def hold_motion(
+    rotation,
+    spin,
+    joints: SphericalJoints,
+    geometry: SphericalGeometry,
+    position: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint rates, joint accelerations and fixed-frame tips (n, 3) over a
+    block whose joints hold the tip: what ``compensation_rates``,
+    ``compensation_accels`` and ``fk_tip_fixed`` give on every sample.
+
+    ``rotation`` and ``spin`` are the block's ``platform_rotation`` and
+    ``platform_spin``. Every sample must already have passed the singularity
+    guard. The system [q3 m1, q3 m2, m] has determinant q3^2 sigma, and m is
+    a unit vector normal to m1 and m2, so Cramer's rule reads q3' = m . r,
+    q1' = r . (m2 x m) / (q3 sigma) and q2' = r . (m x m1) / (q3 sigma).
+    """
+    cb, sb = math.cos(math.radians(geometry.beta)), math.sin(math.radians(geometry.beta))
+    q1, q2, q3 = _DEG * joints.q1, _DEG * joints.q2, joints.q3
+    c1, s1, c2, s2 = np.cos(q1), np.sin(q1), np.cos(q2), np.sin(q2)
+    # m = rot_x(q1) rot_y(q2) rot_x(beta) (-z) and its partials in (q1, q2).
+    m = (-s2 * cb, c1 * sb + s1 * c2 * cb, s1 * sb - c1 * c2 * cb)
+    m1 = (0.0, -m[2], m[1])
+    m2 = (-c2 * cb, -s1 * s2 * cb, c1 * s2 * cb)
+    m11 = (0.0, -m[1], -m[2])
+    m12 = (0.0, -m2[2], m2[1])
+    m22 = (-m[0], sb * c1 - m[1], sb * s1 - m[2])
+    ca, sa, offset = _alpha_frame(geometry)
+    arm = tuple(o + q3 * c for o, c in zip(offset, m))
+    w, w_dot = (_turn_y(v, ca, -sa) for v in spin)
+
+    q3_sigma = q3 * (-c2 * cb)
+    across_1 = (sb * m[0], sb * m[1] - c1, sb * m[2] - s1)  # m2 x m
+    across_2 = (1.0 - m[0] * m[0], -m[0] * m[1], -m[0] * m[2])  # m x m1
+
+    def solve(r):
+        return _dot(r, across_1) / q3_sigma, _dot(r, across_2) / q3_sigma, _dot(r, m)
+
+    u_dot = _cross(arm, w)
+    u_ddot = tuple(a + b for a, b in zip(_cross(arm, w_dot), _cross(u_dot, w)))
+    r1, r2, r3 = solve(u_dot)
+    rhs = tuple(
+        u - 2.0 * r3 * (r1 * d1 + r2 * d2) - q3 * (r1 * r1 * a + 2.0 * r1 * r2 * b + r2 * r2 * c)
+        for u, d1, d2, a, b, c in zip(u_ddot, m1, m2, m11, m12, m22)
+    )
+    a1, a2, a3 = solve(rhs)
+
+    arm = _turn_y(arm, ca, sa)
+    tip = [_dot(row, arm) + p for row, p in zip(rotation, position.tolist())]
+    return (
+        np.column_stack((r1, r2, r3)) * _TO_USER,
+        np.column_stack((a1, a2, a3)) * _TO_USER,
+        np.column_stack(tip),
+    )
 
 
 def tip_grid(

@@ -10,12 +10,13 @@ map. ``fk_tip_fixed_chain`` composes the homogeneous transforms instead; no
 planner or query runs it, it is the independent route the oracle suite
 (``rcmkin validate``) checks the expansion against.
 
-The closed-form IK has a scalar body (``ik_tip_platform``, ``ik_full``) and
-an array form over a block of platform rotations (``ik_grid``), which the
-planners use. Its checks come in two forms that read the same comparisons
-(``_ik_defects``, ``_within_travel``): ``check_ik`` raises for one solved
-sample, ``ik_faults`` flags the samples of a grid that ``check_ik`` would
-reject.
+The closed-form IK has a scalar body here (``ik_tip_platform``,
+``ik_full``); the reorientation planner solves the same closed form over a
+block of platform rotations in the platform frame
+(``differential.hold_ik``). Its checks come in two forms that read the same
+comparisons (``_ik_defects``, ``_within_travel``): ``check_ik`` raises for
+one solved sample, ``ik_faults`` flags the samples of a grid that
+``check_ik`` would reject.
 
 Interface units are degrees and millimetres; radians appear only internally.
 """
@@ -274,7 +275,8 @@ def check_ik(joints: SphericalJoints, sin_q2: float, geometry: SphericalGeometry
 def ik_faults(
     joints: SphericalJoints, sin_q2: np.ndarray, geometry: SphericalGeometry
 ) -> np.ndarray:
-    """Mask of the samples of an ik_grid solution that check_ik rejects."""
+    """Mask of the samples of a grid IK solution (``differential.hold_ik``)
+    that check_ik rejects."""
     degenerate, unreachable = _ik_defects(joints.q3, sin_q2)
     return degenerate | unreachable | joint_faults(joints, geometry)
 
@@ -289,41 +291,6 @@ def check_coordinates(*points: np.ndarray) -> None:
         )
 
 
-def ik_grid(
-    rotation: np.ndarray,
-    position: np.ndarray,
-    tip_fixed,
-    geometry: SphericalGeometry,
-    branch: IkBranch = IkBranch.PRINCIPAL,
-) -> tuple[SphericalJoints, np.ndarray]:
-    """Unchecked closed-form IK over stacked platform rotations (n, 3, 3).
-
-    The array form of ``ik_full`` without its checks: returns the joint grid
-    and sin q2 before clamping, for ik_faults on the whole grid or check_ik
-    on one sample; rejected samples hold arbitrary values.
-    """
-    d = np.asarray(tip_fixed, dtype=float) - position
-    v = np.swapaxes(rotation, -1, -2) @ d - geometry.port.offset_vec
-    q3 = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])  # overflow-safe norm
-    w = (v / -np.maximum(q3, MIN_TIP_NORM)[:, None]) @ rot_y(
-        -math.radians(geometry.alpha)
-    ).T
-    cb = math.cos(math.radians(geometry.beta))
-    sin_q2 = w[:, 0] / cb
-    q2 = np.arcsin(np.clip(sin_q2, -1.0, 1.0))
-    if branch is IkBranch.MIRROR:
-        q2 = math.pi - q2
-        q2 = np.where(q2 > math.pi, q2 - 2.0 * math.pi, q2)
-    ay = -math.sin(math.radians(geometry.beta))
-    az = np.cos(q2) * cb
-    q1 = np.where(
-        np.hypot(ay, az) < 1e-15,
-        0.0,  # tip along the q1 axis; q1 is free, pick zero
-        np.arctan2(ay * w[:, 2] - az * w[:, 1], ay * w[:, 1] + az * w[:, 2]),
-    )
-    return SphericalJoints(np.degrees(q1), np.degrees(q2), q3), sin_q2
-
-
 def ik_tip_platform(
     v, geometry: SphericalGeometry, branch: IkBranch = IkBranch.PRINCIPAL
 ) -> SphericalJoints:
@@ -332,8 +299,8 @@ def ik_tip_platform(
     q3 is the tip distance. Rotating the unit insertion direction back by
     alpha leaves sin(q2) on the X component (scaled by cos beta); the branch
     picks the principal or supplementary arcsine solution. q1 then aligns
-    the remaining Y-Z direction by atan2. ``ik_grid`` is the same solution
-    over arrays; one sample of it costs twice this scalar body.
+    the remaining Y-Z direction by atan2. ``differential.hold_ik`` is the
+    same solution over arrays of platform rotations.
     """
     v = np.asarray(v, dtype=float)
     q3 = math.hypot(*v.tolist())  # overflow-safe norm

@@ -2,10 +2,12 @@
 
 The reorientation planner (type 4) tilts the platform by (delta_psi,
 delta_theta) while every configured instrument holds its tip position:
-joints come from closed-form IK at every sample (drift free), rates from the
-compensation solver, accelerations from the differentiated velocity
-relation. Insertion (type 2) and joint-space (type 3) planners run plain
-synchronized trapezoids without compensation and without building B.
+joints come from closed-form IK at every sample (drift free), rates and
+accelerations from the velocity relation taken in the platform frame, where
+it is a closed-form 3x3 system per sample (``differential.hold_motion``);
+B and B-dot are its oracle in the tests. Insertion (type 2) and joint-space
+(type 3) planners run plain synchronized trapezoids without compensation
+and without building B.
 
 Both planners evaluate the time grid as array kernels, not sample by
 sample, in blocks of at most ``_BLOCK`` samples so that memory stays bounded
@@ -23,7 +25,8 @@ The screens are masks that share their comparisons with the checks
 type 2/3 joint grid exists before any kinematics runs, so it is screened
 once, whole, before any tip is computed. A type 4 plan solves IK block by
 block and screens each block as it is solved, with sigma's sign carried
-across blocks, so nothing after its failing block is computed. The
+across blocks; a block's rates, accelerations and tips are computed only
+after it passes, so nothing from its failing block on is. The
 earliest flagged sample wins, at equal samples the first instrument, and
 its checks are replayed on its grid values inside ``_at_sample``: a
 rejection raises the error, message and sample time that checking sample
@@ -44,9 +47,12 @@ import numpy as np
 from .differential import (
     check_nonsingular,
     check_same_sign,
-    compensation_grid,
+    hold_ik,
+    hold_motion,
     module_partials,
     platform_partials,
+    platform_rotation,
+    platform_spin,
     signed_measure,
     singular_faults,
     tip_grid,
@@ -61,7 +67,6 @@ from .spherical import (
     check_ik,
     check_joints,
     ik_faults,
-    ik_grid,
     joint_faults,
 )
 
@@ -349,11 +354,11 @@ def plan_type4(
 
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        r = platform_partials(psi[block], theta[block], start.phi, 2)
+        rotation = platform_rotation(psi[block], theta[block], start.phi)
         gimbal = near_gimbal(theta[block])
         solved = []
         for track, target, previous in zip(tracks, targets, last_sigma):
-            joints, sin_q2 = ik_grid(r[0, 0], position, target, track.geometry, branch)
+            joints, sin_q2 = hold_ik(rotation, target - position, track.geometry, branch)
             sigma = signed_measure(joints, track.geometry)
             faults = (
                 gimbal
@@ -371,13 +376,12 @@ def plan_type4(
                 check_ik(_row(joints, i), sin_q2[i], tracks[k].geometry)
                 _guard(sigma, i, last_sigma[k])
 
+        spin = platform_spin(theta[block], start.phi, pose_rates[block], pose_accels[block])
         for k, (track, (joints, _, sigma, _)) in enumerate(zip(tracks, solved)):
-            m = module_partials(joints.q1, joints.q2, track.geometry, 2)
             track.joints[block] = np.column_stack([joints.q1, joints.q2, joints.q3])
-            track.rates[block], track.accels[block] = compensation_grid(
-                r, m, joints.q3, track.geometry, pose_rates[block], pose_accels[block]
+            track.rates[block], track.accels[block], track.tip[block] = hold_motion(
+                rotation, spin, joints, track.geometry, position
             )
-            track.tip[block] = tip_grid(r, m, joints.q3, track.geometry, position)
             track.sing[block] = np.abs(sigma)
             last_sigma[k] = sigma[-1]
 

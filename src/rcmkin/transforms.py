@@ -4,7 +4,7 @@ Right-handed frames, column-vector convention, angles in radians. Matrices
 are plain float64 numpy arrays: (3, 3) for rotations, (4, 4) for rigid
 transforms with the fixed bottom row (0, 0, 0, 1). The rotation builders
 also take arrays of angles and return stacks of shape (..., 3, 3), which is
-how the planners evaluate a whole block of the time grid at once.
+how the joint-space planners evaluate the tips of a block of the time grid.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from rcmkin.validation import (
     _random_geometry,
     _random_joints,
     _random_pose,
+    _worse,
     finite_difference_b,
     finite_difference_b_rate,
 )
@@ -124,7 +125,7 @@ def test_criterion_2_tip_preservation(demo_run):
         k4 = rates_at(at_full, i, q + h * k3)
         q = q + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         tip = fk_tip_fixed(at_t[0][i + 1], SphericalJoints(*q), geometry)
-        rk4_drift = max(rk4_drift, float(np.abs(tip - tip0).max()))
+        rk4_drift = _worse(rk4_drift, float(np.abs(tip - tip0).max()))
 
     ok = ik_drift <= 1e-9 and rk4_drift <= 1e-3
     _criterion(
@@ -144,7 +145,7 @@ def test_criterion_3_fk_ik_round_trip():
         solved = ik_full(pose, tip, geometry)
         if abs(solved.q2 - joints.q2) > 1e-6:
             flips += 1
-        worst = max(worst, float(np.abs(fk_tip_fixed(pose, solved, geometry) - tip).max()))
+        worst = _worse(worst, float(np.abs(fk_tip_fixed(pose, solved, geometry) - tip).max()))
     ok = worst <= 1e-9 and flips == 0
     _criterion(
         "3 fk-ik round trip", ok,
@@ -160,7 +161,7 @@ def test_criterion_4_jacobian_oracle():
         analytic = jacobians(pose, joints, geometry).b
         numeric = finite_difference_b(pose, joints, geometry)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-        worst = max(worst, float(rel.max()))
+        worst = _worse(worst, float(rel.max()))
     ok = worst <= 1e-6
     _criterion(
         "4 jacobian finite-difference oracle", ok,
@@ -188,7 +189,7 @@ def test_criterion_5_acceleration_residual(demo_run):
         # Tip velocity and acceleration are zero, so the full relation
         # A xddot + Adot xdot + B qddot + Bdot qdot reduces to the last two.
         residual = pair.b @ rates.accels_internal() + b_dot @ rates.rates_internal()
-        worst = max(worst, float(np.linalg.norm(residual)))
+        worst = _worse(worst, float(np.linalg.norm(residual)))
     ok = worst <= 1e-8
     _criterion(
         "5 acceleration residual", ok,
@@ -205,7 +206,7 @@ def test_criterion_6_dual_path_fk():
             fk_tip_fixed(pose, joints, geometry)
             - fk_tip_fixed_chain(pose, joints, geometry)
         )
-        worst = max(worst, float(diff.max()))
+        worst = _worse(worst, float(diff.max()))
     ok = worst <= 1e-12
     _criterion(
         "6 dual-path fk equivalence", ok,

@@ -23,6 +23,7 @@ from rcmkin.validation import (
     _random_geometry,
     _random_joints,
     _random_pose,
+    _worse,
     finite_difference_b,
 )
 
@@ -61,7 +62,7 @@ def test_analytic_b_matches_finite_differences(rng):
         analytic = jacobians(pose, joints, g).b
         numeric = finite_difference_b(pose, joints, g)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-        worst = max(worst, rel.max())
+        worst = _worse(worst, float(rel.max()))
     assert worst <= 1e-6
 
 

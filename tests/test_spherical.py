@@ -30,7 +30,7 @@ from rcmkin.spherical import (
     tip_in_platform,
 )
 from rcmkin.transforms import euler_xyz
-from rcmkin.validation import _random_geometry, _random_joints, _random_pose
+from rcmkin.validation import _random_geometry, _random_joints, _random_pose, _worse
 
 # Joints reaching the demo tip (50, -50, -620) from the demo pose, frozen
 # from an independent damped least-squares solve of the tip residual.
@@ -179,7 +179,7 @@ def test_fk_dual_paths_agree(rng):
     for _ in range(2000):
         pose, g, joints = _random_setup(rng)
         diff = np.abs(fk_tip_fixed(pose, joints, g) - fk_tip_fixed_chain(pose, joints, g))
-        worst = max(worst, diff.max())
+        worst = _worse(worst, float(diff.max()))
     assert worst < 1e-12
 
 
@@ -246,13 +246,9 @@ def test_fk_ik_round_trip_bulk(rng):
         solved = ik_full(pose, tip, g, IkBranch.PRINCIPAL)
         if abs(solved.q2 - joints.q2) > 1e-6:
             flips += 1
-        worst_joint = max(
-            worst_joint,
-            abs(solved.q1 - joints.q1),
-            abs(solved.q2 - joints.q2),
-            abs(solved.q3 - joints.q3),
-        )
-        worst = max(worst, np.abs(fk_tip_fixed(pose, solved, g) - tip).max())
+        for got, want in zip((solved.q1, solved.q2, solved.q3), (joints.q1, joints.q2, joints.q3)):
+            worst_joint = _worse(worst_joint, abs(got - want))
+        worst = _worse(worst, float(np.abs(fk_tip_fixed(pose, solved, g) - tip).max()))
     assert worst <= 1e-9
     assert worst_joint <= 1e-8  # joints recovered, not merely tip-equivalent
     assert flips == 0
