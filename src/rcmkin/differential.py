@@ -13,18 +13,16 @@ rotation factors (``platform_partials``, ``module_partials``): each
 derivative in an angle inserts that axis's generator in front of its
 rotation. ``jacobians``, ``jacobian_rate`` and ``compensation_*`` evaluate
 them on one configuration: they are the paper's public velocity relation,
-and the tests check the planners against them. ``tip_grid`` runs the same
-products on stacks with the sample index leading, for the joint-space
-planners' tip column.
+and the tests check the planners against them.
 
 The reorientation planner does not build B. Premultiplying the relation by
 R^T leaves every term in the platform frame as a few (n,) columns over a
 block of the time grid: ``platform_rotation`` and ``platform_spin`` per
-block, ``hold_ik`` for the joints and ``hold_motion`` for the rates,
-accelerations and tips, in closed form. The normalized singularity measure is
-closed-form too, |sigma| with sigma = -cos q2 cos beta; ``singular_faults``
-flags the samples of a grid that ``check_nonsingular`` or
-``check_same_sign`` would reject.
+block, ``spherical.solve_ik`` for the joints and ``hold_motion`` for the
+rates, accelerations and tips, in closed form. The normalized singularity
+measure is closed-form too, |sigma| with sigma = -cos q2 cos beta;
+``singular_faults`` flags the samples of a grid that ``check_nonsingular``
+or ``check_same_sign`` would reject.
 """
 
 from __future__ import annotations
@@ -36,14 +34,8 @@ import numpy as np
 
 from .errors import SingularConfigurationError
 from .platform import PlatformPose, check_pose
-from .spherical import (
-    MIN_TIP_NORM,
-    IkBranch,
-    SphericalGeometry,
-    SphericalJoints,
-    check_joints,
-)
-from .transforms import rot_x, rot_y, rot_z
+from .spherical import SphericalGeometry, SphericalJoints, check_joints, insertion, tip_position
+from .transforms import euler_entries, rot_x, rot_y, rot_z
 
 #: Abort threshold on the normalized joint-block determinant.
 SIGMA_MIN = 1e-8
@@ -106,8 +98,8 @@ class JacobianPair:
 
 def _xy_partials(left, a, b, right, order: int) -> dict:
     """Partials d^(i+j)/da^i db^j of left @ rot_x(a) @ rot_y(b) @ right for
-    i + j <= order, keyed (i, j), stacked over the shape of the angle arrays
-    a and b (radians); ``left`` None stands for the identity."""
+    i + j <= order, keyed (i, j), at the angles a and b (radians); ``left``
+    None stands for the identity."""
     xs = [rot_x(a)]
     ys = [rot_y(b) @ right]
     for _ in range(order):
@@ -122,8 +114,8 @@ def _xy_partials(left, a, b, right, order: int) -> dict:
 
 def platform_partials(psi, theta, phi: float, order: int) -> dict:
     """Partials up to ``order`` of the platform rotation
-    R = rot_x(psi) rot_y(theta) rot_z(phi) in (psi, theta), each (..., 3, 3)
-    over the shape of psi and theta. Angles in degrees."""
+    R = rot_x(psi) rot_y(theta) rot_z(phi) in (psi, theta), each (3, 3).
+    Angles in degrees."""
     return _xy_partials(
         None, _DEG * psi, _DEG * theta, rot_z(math.radians(phi)), order
     )
@@ -132,7 +124,7 @@ def platform_partials(psi, theta, phi: float, order: int) -> dict:
 def module_partials(q1, q2, geometry: SphericalGeometry, order: int) -> dict:
     """Partials up to ``order`` of the unit insertion direction
     m = rot_y(alpha) rot_x(q1) rot_y(q2) rot_x(beta) (-z) in (q1, q2), each a
-    column (..., 3, 1) over the shape of q1 and q2. Angles in degrees."""
+    column (3, 1). Angles in degrees."""
     return _xy_partials(
         rot_y(math.radians(geometry.alpha)),
         _DEG * q1,
@@ -310,23 +302,12 @@ def _turn_y(v, c: float, s: float):
     return (c * v[0] + s * v[2], v[1], c * v[2] - s * v[0])
 
 
-def _alpha_frame(geometry: SphericalGeometry):
-    """cos alpha, sin alpha and the port offset in the frame after rot_y(alpha)."""
-    ca, sa = math.cos(math.radians(geometry.alpha)), math.sin(math.radians(geometry.alpha))
-    return ca, sa, _turn_y(geometry.port.offset, ca, -sa)
-
-
 def platform_rotation(psi, theta, phi: float):
-    """The direction cosines of R = rot_x(psi) rot_y(theta) rot_z(phi) over
-    grids of psi and theta (deg), phi held (deg): R's rows, each a tuple of
-    three columns, expanded as in ``fk_tip_fixed``."""
-    cps, sps = np.cos(_DEG * psi), np.sin(_DEG * psi)
-    ct, st = np.cos(_DEG * theta), np.sin(_DEG * theta)
-    cph, sph = math.cos(math.radians(phi)), math.sin(math.radians(phi))
-    return (
-        (ct * cph, -ct * sph, st),
-        (cps * sph + sps * st * cph, cps * cph - sps * st * sph, -sps * ct),
-        (sps * sph - cps * st * cph, sps * cph + cps * st * sph, cps * ct),
+    """The entries of R = rot_x(psi) rot_y(theta) rot_z(phi)
+    (``euler_entries``) over grids of psi and theta (deg), phi held (deg)."""
+    psi, theta, phi = _DEG * psi, _DEG * theta, math.radians(phi)
+    return euler_entries(
+        np.cos(psi), np.sin(psi), np.cos(theta), np.sin(theta), math.cos(phi), math.sin(phi)
     )
 
 
@@ -355,67 +336,35 @@ def platform_spin(theta, phi: float, pose_rates: np.ndarray, pose_accels: np.nda
     return w, w_dot
 
 
-def hold_ik(
-    rotation, tip_offset: np.ndarray, geometry: SphericalGeometry, branch: IkBranch
-) -> tuple[SphericalJoints, np.ndarray]:
-    """Unchecked closed-form IK over a block of platform rotations (the rows
-    of ``platform_rotation``) for the tip at position + ``tip_offset`` (mm).
-
-    ``ik_full``'s solution without its checks: returns the joint grid
-    (deg, mm) and sin q2 before clamping, for ik_faults on the block or
-    check_ik on one sample; rejected samples hold arbitrary values.
-    """
-    d = tip_offset.tolist()
-    u = tuple(_dot(d, (rotation[0][j], rotation[1][j], rotation[2][j])) for j in range(3))
-    ca, sa, offset = _alpha_frame(geometry)
-    vx, vy, vz = (c - o for c, o in zip(_turn_y(u, ca, -sa), offset))
-    q3 = np.hypot(np.hypot(vx, vy), vz)  # overflow-safe norm
-    scale = -np.maximum(q3, MIN_TIP_NORM)
-    wx, wy, wz = vx / scale, vy / scale, vz / scale  # -m
-    cb = math.cos(math.radians(geometry.beta))
-    sin_q2 = wx / cb
-    q2 = np.arcsin(np.clip(sin_q2, -1.0, 1.0))
-    if branch is IkBranch.MIRROR:
-        q2 = math.pi - q2
-        q2 = np.where(q2 > math.pi, q2 - 2.0 * math.pi, q2)
-    ay = -math.sin(math.radians(geometry.beta))
-    az = np.cos(q2) * cb
-    q1 = np.where(
-        np.hypot(ay, az) < 1e-15,
-        0.0,  # tip along the q1 axis; q1 is free, pick zero
-        np.arctan2(ay * wz - az * wy, ay * wy + az * wz),
-    )
-    return SphericalJoints(np.degrees(q1), np.degrees(q2), q3), sin_q2
-
-
 def hold_motion(
     rotation,
     spin,
     joints: SphericalJoints,
     geometry: SphericalGeometry,
-    position: np.ndarray,
+    position,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint rates, joint accelerations and fixed-frame tips (n, 3) over a
     block whose joints hold the tip: what ``compensation_rates``,
     ``compensation_accels`` and ``fk_tip_fixed`` give on every sample.
 
     ``rotation`` and ``spin`` are the block's ``platform_rotation`` and
-    ``platform_spin``. Every sample must already have passed the singularity
-    guard. The system [q3 m1, q3 m2, m] has determinant q3^2 sigma, and m is
-    a unit vector normal to m1 and m2, so Cramer's rule reads q3' = m . r,
+    ``platform_spin``, ``position`` the platform's (three floats, mm). Every
+    sample must already have passed the singularity guard. The system
+    [q3 m1, q3 m2, m] has determinant q3^2 sigma, and m is a unit vector
+    normal to m1 and m2, so Cramer's rule reads q3' = m . r,
     q1' = r . (m2 x m) / (q3 sigma) and q2' = r . (m x m1) / (q3 sigma).
     """
-    cb, sb = math.cos(math.radians(geometry.beta)), math.sin(math.radians(geometry.beta))
+    ca, sa, cb, sb = geometry.tilts
     q1, q2, q3 = _DEG * joints.q1, _DEG * joints.q2, joints.q3
     c1, s1, c2, s2 = np.cos(q1), np.sin(q1), np.cos(q2), np.sin(q2)
-    # m = rot_x(q1) rot_y(q2) rot_x(beta) (-z) and its partials in (q1, q2).
-    m = (-s2 * cb, c1 * sb + s1 * c2 * cb, s1 * sb - c1 * c2 * cb)
+    # m and its partials in (q1, q2).
+    m = insertion(c1, s1, c2, s2, geometry)
     m1 = (0.0, -m[2], m[1])
     m2 = (-c2 * cb, -s1 * s2 * cb, c1 * s2 * cb)
     m11 = (0.0, -m[1], -m[2])
     m12 = (0.0, -m2[2], m2[1])
     m22 = (-m[0], sb * c1 - m[1], sb * s1 - m[2])
-    ca, sa, offset = _alpha_frame(geometry)
+    offset = _turn_y(geometry.port.offset, ca, -sa)  # in the frame after rot_y(alpha)
     arm = tuple(o + q3 * c for o, c in zip(offset, m))
     w, w_dot = (_turn_y(v, ca, -sa) for v in spin)
 
@@ -435,21 +384,11 @@ def hold_motion(
     )
     a1, a2, a3 = solve(rhs)
 
-    arm = _turn_y(arm, ca, sa)
-    tip = [_dot(row, arm) + p for row, p in zip(rotation, position.tolist())]
     return (
         np.column_stack((r1, r2, r3)) * _TO_USER,
         np.column_stack((a1, a2, a3)) * _TO_USER,
-        np.column_stack(tip),
+        np.column_stack(tip_position(rotation, m, q3, geometry, position)),
     )
-
-
-def tip_grid(
-    r: dict, m: dict, q3: np.ndarray, geometry: SphericalGeometry, position: np.ndarray
-) -> np.ndarray:
-    """Fixed-frame tips (n, 3) of a block, R (offset + q3 m) + p, from the
-    partials' leading terms; q3 (n,)."""
-    return (r[0, 0] @ _arm(m, q3[:, None, None], geometry))[..., 0] + position
 
 
 def compensation_rates(

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GimbalProximityError
-from .transforms import euler_xyz, vec3
+from .transforms import euler_entries, euler_xyz, vec3
 
 #: Degrees of clearance required between |theta| and the 90 deg degeneracy.
 GIMBAL_MARGIN_DEG = 1e-3
@@ -79,6 +79,15 @@ class PlatformPose:
             math.radians(self.psi),
             math.radians(self.theta),
             math.radians(self.phi),
+        )
+
+    @property
+    def rotation_entries(self):
+        """The nine entries of R = euler_xyz(*angles_rad), row by row."""
+        psi, theta, phi = self.angles_rad
+        return euler_entries(
+            math.cos(psi), math.sin(psi), math.cos(theta), math.sin(theta),
+            math.cos(phi), math.sin(phi),
         )
 
 

@@ -40,7 +40,9 @@ Keys (defaults in parentheses; lengths in mm, angles in degrees):
                           endoscope tip columns to the CSV
 
 For type 2 the limits apply to the insertion joint and are read as mm/s and
-mm/s^2; for type 3 they apply per joint in that joint's units.
+mm/s^2; for type 3 they apply per joint in that joint's units. The endoscope
+column (``endoscope_tips``) reads the planners' platform rotation
+(``differential.platform_rotation``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .differential import platform_rotation
 from .errors import GimbalProximityError, ScenarioParseError, ScenarioValidationError
 from .platform import PlatformPose, check_pose
 from .spherical import (
@@ -316,12 +319,11 @@ def bundled_scenario(name: str) -> Scenario:
 
 def endoscope_tips(plan: MotionPlan, insertion: float) -> np.ndarray:
     """Fixed-frame endoscope tip per sample for a pass-through insertion
-    depth along the platform -Z' axis: position - insertion R e_z, where
-    R e_z = (sin theta, -sin psi cos theta, cos psi cos theta) of the X-Y-Z
-    Euler rotation R does not depend on phi."""
-    psi, theta = np.radians(plan.pose_grid[:, 3]), np.radians(plan.pose_grid[:, 4])
-    cos_theta = np.cos(theta)
-    axis = np.column_stack([np.sin(theta), -np.sin(psi) * cos_theta, np.cos(psi) * cos_theta])
+    depth along the platform -Z' axis: position - insertion R e_z, with R e_z
+    R's last column (``platform_rotation``). It does not depend on phi, so R
+    is taken at phi = 0."""
+    r = platform_rotation(plan.pose_grid[:, 3], plan.pose_grid[:, 4], 0.0)
+    axis = np.column_stack([r[2], r[5], r[8]])
     return plan.pose_grid[:, :3] - insertion * axis
 
 

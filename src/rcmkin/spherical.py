@@ -5,18 +5,19 @@ q2, fixed tilt beta) followed by tool insertion along the local -Z axis by
 q3. All rotation axes meet at the entry port, so q3 = 0 leaves the tip at
 the remote center regardless of q1 and q2.
 
-``fk_tip_fixed`` evaluates the scalar direction-cosine expansion of the tip
-map. ``fk_tip_fixed_chain`` composes the homogeneous transforms instead; no
+The tip map and its inverse are written once, as elementwise arithmetic
+that runs on floats for one configuration and on (n,) columns for a grid:
+``insertion`` (the unit insertion direction m), ``tip_position``
+(R (offset + q3 rot_y(alpha) m) + p), ``tip_vector`` (R^T d - offset) and
+``solve_ik`` (the closed-form IK on ``IK_SCALAR`` or ``IK_GRID``).
+``fk_tip_fixed_chain`` composes the homogeneous transforms instead; no
 planner or query runs it, it is the independent route the oracle suite
 (``rcmkin validate``) checks the expansion against.
 
-The closed-form IK has a scalar body here (``ik_tip_platform``,
-``ik_full``); the reorientation planner solves the same closed form over a
-block of platform rotations in the platform frame
-(``differential.hold_ik``). Its checks come in two forms that read the same
-comparisons (``_ik_defects``, ``_within_travel``): ``check_ik`` raises for
-one solved sample, ``ik_faults`` flags the samples of a grid that
-``check_ik`` would reject.
+The IK's checks come in two forms that read the same comparisons
+(``_ik_defects``, ``_within_travel``): ``check_ik`` raises for one solved
+sample, ``ik_faults`` flags the samples of a grid that ``check_ik`` would
+reject.
 
 Interface units are degrees and millimetres; radians appear only internally.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .platform import (
     left_port,
     platform_matrix,
 )
-from .transforms import euler_xyz, last_column, rot_x, rot_y, trans_z, vec3
+from .transforms import last_column, rot_x, rot_y, trans_z
 
 #: Relative slack on |sin q2| <= cos(beta) before a tip is called unreachable.
 REACH_TOL = 1e-12
@@ -51,6 +53,9 @@ TRAVEL_TOL = 1e-12
 
 #: Below this tip-vector norm (mm) the insertion direction is undefined.
 MIN_TIP_NORM = 1e-9
+
+#: Degrees per radian, as math.degrees and np.degrees multiply by it.
+_TO_DEG = 180.0 / math.pi
 
 #: Bound (mm) on the magnitude of tip and platform coordinates given to
 #: ``ik_full`` or ``plan_type4``; below it no step of the IK can overflow.
@@ -98,6 +103,19 @@ class SphericalGeometry:
             raise ValueError("q3_max must exceed q3_min")
         if not (self.q1_limit > 0.0 and self.q2_limit > 0.0):
             raise ValueError("joint travel limits must be positive")
+
+    @cached_property
+    def tilts(self) -> tuple[float, float, float, float]:
+        """cos alpha, sin alpha, cos beta and sin beta."""
+        alpha, beta = math.radians(self.alpha), math.radians(self.beta)
+        return math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta)
+
+    @cached_property
+    def travel(self) -> tuple[float, float, float, float]:
+        """The largest |q1| and |q2| and the q3 range, each widened by a
+        relative TRAVEL_TOL."""
+        hi, lo = 1.0 + TRAVEL_TOL, 1.0 - TRAVEL_TOL
+        return self.q1_limit * hi, self.q2_limit * hi, self.q3_min * lo, self.q3_max * hi
 
 
 @dataclass(frozen=True)
@@ -147,12 +165,11 @@ def _within_travel(joints: SphericalJoints, geometry: SphericalGeometry):
     """Flags (q1, q2, q3) of the joints inside their travels, for scalars or
     grids alike. A joint within a relative TRAVEL_TOL of a travel end is
     inside; NaN lies outside every travel."""
-    hi = 1.0 + TRAVEL_TOL
+    q1_max, q2_max, q3_min, q3_max = geometry.travel
     return (
-        abs(joints.q1) <= geometry.q1_limit * hi,
-        abs(joints.q2) <= geometry.q2_limit * hi,
-        (geometry.q3_min * (1.0 - TRAVEL_TOL) <= joints.q3)
-        & (joints.q3 <= geometry.q3_max * hi),
+        abs(joints.q1) <= q1_max,
+        abs(joints.q2) <= q2_max,
+        (q3_min <= joints.q3) & (joints.q3 <= q3_max),
     )
 
 
@@ -200,18 +217,31 @@ def tip_in_platform(joints: SphericalJoints, geometry: SphericalGeometry) -> np.
     return last_column(module_matrix(joints, geometry))
 
 
-def _tip_components(joints: SphericalJoints, geometry: SphericalGeometry) -> tuple[float, float, float]:
-    # Scalar closed form of tip_in_platform, used by the expansion-path FK.
-    ca, sa = math.cos(math.radians(geometry.alpha)), math.sin(math.radians(geometry.alpha))
-    cb, sb = math.cos(math.radians(geometry.beta)), math.sin(math.radians(geometry.beta))
-    c1, s1 = math.cos(math.radians(joints.q1)), math.sin(math.radians(joints.q1))
-    c2, s2 = math.cos(math.radians(joints.q2)), math.sin(math.radians(joints.q2))
-    swing = s1 * sb - c1 * cb * c2
-    return (
-        joints.q3 * (-ca * cb * s2 + sa * swing),
-        joints.q3 * (c1 * sb + s1 * cb * c2),
-        joints.q3 * (sa * cb * s2 + ca * swing),
-    )
+def insertion(c1, s1, c2, s2, geometry: SphericalGeometry):
+    """The unit insertion direction m = rot_x(q1) rot_y(q2) rot_x(beta) (-z),
+    in the frame after rot_y(alpha), from the cosines and sines of q1 and q2."""
+    _, _, cb, sb = geometry.tilts
+    return (-s2 * cb, c1 * sb + s1 * c2 * cb, s1 * sb - c1 * c2 * cb)
+
+
+def tip_position(r, m, q3, geometry: SphericalGeometry, position):
+    """The fixed-frame tip R (offset + q3 rot_y(alpha) m) + p, a list of
+    three entries, from R's entries ``r`` (``transforms.euler_entries``),
+    ``insertion``'s m, the insertion depth q3 (mm) and the platform position
+    p (three floats, mm)."""
+    ca, sa, _, _ = geometry.tilts
+    ox, oy, oz = geometry.port.offset
+    mx, my, mz = m
+    ax = ox + q3 * (ca * mx + sa * mz)
+    ay = oy + q3 * my
+    az = oz + q3 * (ca * mz - sa * mx)
+    r11, r12, r13, r21, r22, r23, r31, r32, r33 = r
+    px, py, pz = position
+    return [
+        r11 * ax + r12 * ay + r13 * az + px,
+        r21 * ax + r22 * ay + r23 * az + py,
+        r31 * ax + r32 * ay + r33 * az + pz,
+    ]
 
 
 def fk_tip_fixed(
@@ -220,25 +250,10 @@ def fk_tip_fixed(
     """Instrument tip in the fixed frame (scalar direction-cosine expansion)."""
     check_pose(pose)
     check_joints(joints, geometry)
-    psi, theta, phi = pose.angles_rad
-    cps, sps = math.cos(psi), math.sin(psi)
-    ct, st = math.cos(theta), math.sin(theta)
-    cph, sph = math.cos(phi), math.sin(phi)
-    r11, r12, r13 = ct * cph, -ct * sph, st
-    r21 = cps * sph + sps * st * cph
-    r22 = cps * cph - sps * st * sph
-    r23 = -sps * ct
-    r31 = sps * sph - cps * st * cph
-    r32 = sps * cph + cps * st * sph
-    r33 = cps * ct
-    xl, yl, zl = _tip_components(joints, geometry)
-    ox, oy, oz = geometry.port.offset
-    ax, ay, az = xl + ox, yl + oy, zl + oz
-    return vec3(
-        ax * r11 + ay * r12 + az * r13 + pose.x,
-        ax * r21 + ay * r22 + az * r23 + pose.y,
-        ax * r31 + ay * r32 + az * r33 + pose.z,
-    )
+    q1, q2 = math.radians(joints.q1), math.radians(joints.q2)
+    m = insertion(math.cos(q1), math.sin(q1), math.cos(q2), math.sin(q2), geometry)
+    position = (pose.x, pose.y, pose.z)
+    return np.array(tip_position(pose.rotation_entries, m, joints.q3, geometry, position))
 
 
 def fk_tip_fixed_chain(
@@ -275,8 +290,8 @@ def check_ik(joints: SphericalJoints, sin_q2: float, geometry: SphericalGeometry
 def ik_faults(
     joints: SphericalJoints, sin_q2: np.ndarray, geometry: SphericalGeometry
 ) -> np.ndarray:
-    """Mask of the samples of a grid IK solution (``differential.hold_ik``)
-    that check_ik rejects."""
+    """Mask of the samples of a grid IK solution (``solve_ik`` on
+    ``IK_GRID``) that check_ik rejects."""
     degenerate, unreachable = _ik_defects(joints.q3, sin_q2)
     return degenerate | unreachable | joint_faults(joints, geometry)
 
@@ -291,34 +306,68 @@ def check_coordinates(*points: np.ndarray) -> None:
         )
 
 
-def ik_tip_platform(
-    v, geometry: SphericalGeometry, branch: IkBranch = IkBranch.PRINCIPAL
-) -> SphericalJoints:
-    """Closed-form joints for a tip vector given in the module frame.
+#: The functions hypot, clip, asin, cos, atan2 and where (as numpy spells
+#: them) that solve_ik takes from its caller: for one tip from math and the
+#: builtins, so that no numpy call runs per float, and for a grid from numpy.
+IK_SCALAR = (
+    math.hypot, lambda x, lo, hi: min(hi, max(lo, x)), math.asin, math.cos, math.atan2,
+    lambda condition, a, b: a if condition else b,
+)
+IK_GRID = (np.hypot, np.clip, np.arcsin, np.cos, np.arctan2, np.where)
+
+
+def tip_vector(r, d, geometry: SphericalGeometry):
+    """R^T d - offset: the tip vector in the module frame, a tuple of three
+    entries, for the tip at p + d (``d`` three floats, mm) under the platform
+    rotation's entries ``r`` (``transforms.euler_entries``)."""
+    r11, r12, r13, r21, r22, r23, r31, r32, r33 = r
+    dx, dy, dz = d
+    ox, oy, oz = geometry.port.offset
+    return (
+        r11 * dx + r21 * dy + r31 * dz - ox,
+        r12 * dx + r22 * dy + r32 * dz - oy,
+        r13 * dx + r23 * dy + r33 * dz - oz,
+    )
+
+
+def solve_ik(v, geometry: SphericalGeometry, branch: IkBranch, ops) -> tuple:
+    """Unchecked closed-form joints (deg, mm) for the tip vector v (three
+    entries, mm, in the module frame), and sin q2 before clamping for
+    check_ik or ik_faults; ``ops`` is IK_SCALAR or IK_GRID. A rejected tip
+    gets arbitrary joints.
 
     q3 is the tip distance. Rotating the unit insertion direction back by
     alpha leaves sin(q2) on the X component (scaled by cos beta); the branch
-    picks the principal or supplementary arcsine solution. q1 then aligns
-    the remaining Y-Z direction by atan2. ``differential.hold_ik`` is the
-    same solution over arrays of platform rotations.
+    picks the principal or supplementary arcsine solution, wrapped into
+    (-180, 180] deg. q1 then aligns the remaining Y-Z direction by atan2.
     """
-    v = np.asarray(v, dtype=float)
-    q3 = math.hypot(*v.tolist())  # overflow-safe norm
-    w = rot_y(-math.radians(geometry.alpha)) @ (-v / max(q3, MIN_TIP_NORM))
-    cb = math.cos(math.radians(geometry.beta))
-    sin_q2 = float(w[0]) / cb
-    q2 = math.asin(min(1.0, max(-1.0, sin_q2)))
+    hypot, clip, asin, cos, atan2, where = ops
+    vx, vy, vz = v
+    q3 = hypot(hypot(vx, vy), vz)  # overflow-safe norm
+    scale = -clip(q3, MIN_TIP_NORM, math.inf)
+    ux, uy, uz = vx / scale, vy / scale, vz / scale
+    ca, sa, cb, sb = geometry.tilts
+    wx, wy, wz = ca * ux - sa * uz, uy, sa * ux + ca * uz  # -m
+    sin_q2 = wx / cb
+    q2 = asin(clip(sin_q2, -1.0, 1.0))
     if branch is IkBranch.MIRROR:
         q2 = math.pi - q2
-        if q2 > math.pi:
-            q2 -= 2.0 * math.pi
-    ay = -math.sin(math.radians(geometry.beta))
-    az = math.cos(q2) * cb
-    if math.hypot(ay, az) < 1e-15:
-        q1 = 0.0  # tip along the q1 axis; q1 is free, pick zero
-    else:
-        q1 = math.atan2(ay * w[2] - az * w[1], ay * w[1] + az * w[2])
-    joints = SphericalJoints(math.degrees(q1), math.degrees(q2), q3)
+        q2 = where(q2 > math.pi, q2 - 2.0 * math.pi, q2)
+    az = cos(q2) * cb
+    q1 = where(
+        hypot(sb, az) < 1e-15,
+        0.0,  # tip along the q1 axis; q1 is free, pick zero
+        atan2(-sb * wz - az * wy, -sb * wy + az * wz),
+    )
+    return SphericalJoints(_TO_DEG * q1, _TO_DEG * q2, q3), sin_q2
+
+
+def ik_tip_platform(
+    v, geometry: SphericalGeometry, branch: IkBranch = IkBranch.PRINCIPAL
+) -> SphericalJoints:
+    """Closed-form joints for a tip vector given in the module frame
+    (``solve_ik``), checked by check_ik."""
+    joints, sin_q2 = solve_ik(np.asarray(v, dtype=float).tolist(), geometry, branch, IK_SCALAR)
     check_ik(joints, sin_q2, geometry)
     return joints
 
@@ -337,6 +386,5 @@ def ik_full(
     check_pose(pose)
     tip, position = np.asarray(tip_fixed, dtype=float), pose.position
     check_coordinates(tip, position)
-    rotation = euler_xyz(*pose.angles_rad)
-    v = rotation.T @ (tip - position) - geometry.port.offset_vec
+    v = tip_vector(pose.rotation_entries, (tip - position).tolist(), geometry)
     return ik_tip_platform(v, geometry, branch)

@@ -7,7 +7,7 @@ accelerations from the velocity relation taken in the platform frame, where
 it is a closed-form 3x3 system per sample (``differential.hold_motion``);
 B and B-dot are its oracle in the tests. Insertion (type 2) and joint-space
 (type 3) planners run plain synchronized trapezoids without compensation
-and without building B.
+and without building B; their tips come from ``spherical.tip_position``.
 
 Both planners evaluate the time grid as array kernels, not sample by
 sample, in blocks of at most ``_BLOCK`` samples so that memory stays bounded
@@ -20,17 +20,19 @@ consecutive samples (the plan would cross a singularity between them).
 Along a type 2/3 trapezoid q2 is monotone, so a +/-90 deg crossing is
 caught at the first sample past it. A type 4 plan holds one IK branch, on
 which cos q2 keeps its sign, so only the |sigma| threshold can fire there.
-The screens are masks that share their comparisons with the checks
-(``ik_faults``, ``joint_faults``, ``singular_faults``, ``near_gimbal``). A
-type 2/3 joint grid exists before any kinematics runs, so it is screened
-once, whole, before any tip is computed. A type 4 plan solves IK block by
-block and screens each block as it is solved, with sigma's sign carried
-across blocks; a block's rates, accelerations and tips are computed only
-after it passes, so nothing from its failing block on is. The
-earliest flagged sample wins, at equal samples the first instrument, and
-its checks are replayed on its grid values inside ``_at_sample``: a
-rejection raises the error, message and sample time that checking sample
-by sample would.
+The IK wraps q2 into (-180, 180]; on the mirror branch a type 4 plan
+unwraps it by whole turns against the sample before, so q2 stays continuous
+through +/-180 deg and is screened against its travel as it moves. The screens are masks that share
+their comparisons with the checks (``ik_faults``, ``joint_faults``,
+``singular_faults``, ``near_gimbal``). A type 2/3 joint grid exists before
+any kinematics runs, so it is screened once, whole, before any tip is
+computed. A type 4 plan solves IK block by block and screens each block as
+it is solved, with sigma's sign and q2 carried across blocks; a block's
+rates, accelerations and tips are computed only after it passes, so nothing
+from its failing block on is. The earliest flagged sample wins, at equal
+samples the first instrument, and its checks are replayed on its grid
+values inside ``_at_sample``: a rejection raises the error, message and
+sample time that checking sample by sample would.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
 from enum import Enum
 from typing import Sequence
 
@@ -47,19 +48,16 @@ import numpy as np
 from .differential import (
     check_nonsingular,
     check_same_sign,
-    hold_ik,
     hold_motion,
-    module_partials,
-    platform_partials,
     platform_rotation,
     platform_spin,
     signed_measure,
     singular_faults,
-    tip_grid,
 )
 from .errors import InvalidLimitsError, KinematicsError, ProfileRangeError
 from .platform import PlatformPose, check_pose, near_gimbal
 from .spherical import (
+    IK_GRID,
     IkBranch,
     SphericalGeometry,
     SphericalJoints,
@@ -67,7 +65,11 @@ from .spherical import (
     check_ik,
     check_joints,
     ik_faults,
+    insertion,
     joint_faults,
+    solve_ik,
+    tip_position,
+    tip_vector,
 )
 
 #: Grid-snapping slack when deciding how many dt steps cover a duration.
@@ -237,11 +239,6 @@ class MotionPlan:
     pose_accels: np.ndarray  # (n, 2): deg/s^2
     instruments: tuple[InstrumentTrack, ...]
 
-    @cached_property
-    def poses(self) -> tuple[PlatformPose, ...]:
-        """The rows of pose_grid as poses, built on first use."""
-        return tuple(PlatformPose(*row) for row in self.pose_grid.tolist())
-
     @property
     def duration(self) -> float:
         return float(self.time[-1])
@@ -315,6 +312,14 @@ def _row(joints: SphericalJoints, i: int) -> SphericalJoints:
     return SphericalJoints(joints.q1[i], joints.q2[i], joints.q3[i])
 
 
+def _unwrapped(q2: np.ndarray, previous: float | None) -> np.ndarray:
+    """q2 (deg) of a block shifted by whole turns so that no step from
+    ``previous``, the unwrapped q2 before the block (or None), exceeds 180."""
+    steps = np.diff(q2, prepend=q2[0] if previous is None else previous)
+    turns = np.round(steps / 360.0).cumsum()
+    return q2 - 360.0 * turns if turns.any() else q2
+
+
 def _guard(sigma: np.ndarray, i: int, previous: float | None) -> None:
     """The singularity guard of sample i of a sigma grid; ``previous`` is the
     sigma before the grid's first sample."""
@@ -337,12 +342,15 @@ def plan_type4(
     so the platform performs one synchronized motion. The pose position and
     phi are carried through untouched. ``instruments`` pairs each module's
     geometry with the fixed-frame tip it must preserve; the arcsine branch
-    is held constant across the whole plan.
+    is held constant across the whole plan, and q2 continuous through
+    +/-180 deg.
     """
     check_pose(start)
     position = start.position
     targets = [np.asarray(tip, dtype=float) for _, tip in instruments]
     check_coordinates(position, *targets)
+    offsets = [(target - position).tolist() for target in targets]
+    position = position.tolist()
     times, moved, pose_rates, pose_accels = _synchronized((delta_psi, delta_theta), limits, dt)
     n = len(times)
     psi, theta = start.psi + moved[:, 0], start.theta + moved[:, 1]
@@ -350,15 +358,18 @@ def plan_type4(
         InstrumentTrack(g.port.side.value, g, *(np.empty((n, 3)) for _ in range(4)), np.empty(n))
         for g, _ in instruments
     ]
-    last_sigma = [None] * len(tracks)
+    last_sigma, last_q2 = [None] * len(tracks), [None] * len(tracks)
 
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         rotation = platform_rotation(psi[block], theta[block], start.phi)
         gimbal = near_gimbal(theta[block])
         solved = []
-        for track, target, previous in zip(tracks, targets, last_sigma):
-            joints, sin_q2 = hold_ik(rotation, target - position, track.geometry, branch)
+        for track, d, previous, q2_before in zip(tracks, offsets, last_sigma, last_q2):
+            v = tip_vector(rotation, d, track.geometry)
+            joints, sin_q2 = solve_ik(v, track.geometry, branch, IK_GRID)
+            if branch is IkBranch.MIRROR:  # a principal q2 stays within +/-90 deg
+                joints = replace(joints, q2=_unwrapped(joints.q2, q2_before))
             sigma = signed_measure(joints, track.geometry)
             faults = (
                 gimbal
@@ -383,7 +394,7 @@ def plan_type4(
                 rotation, spin, joints, track.geometry, position
             )
             track.sing[block] = np.abs(sigma)
-            last_sigma[k] = sigma[-1]
+            last_sigma[k], last_q2[k] = sigma[-1], joints.q2[-1]
 
     return MotionPlan(
         kind=MotionType.REORIENT,
@@ -425,12 +436,13 @@ def _plan_joint_space(
             check_joints(_row(joints, i), geometry)
             _guard(sigma, i, None)
 
-    r = platform_partials(pose.psi, pose.theta, pose.phi, 0)
+    r, position = pose.rotation_entries, (pose.x, pose.y, pose.z)
     tip = np.empty((n, 3))
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        m = module_partials(joints.q1[block], joints.q2[block], geometry, 0)
-        tip[block] = tip_grid(r, m, joints.q3[block], geometry, pose.position)
+        q1, q2 = np.radians(joints.q1[block]), np.radians(joints.q2[block])
+        m = insertion(np.cos(q1), np.sin(q1), np.cos(q2), np.sin(q2), geometry)
+        tip[block] = np.column_stack(tip_position(r, m, joints.q3[block], geometry, position))
 
     return MotionPlan(
         kind=kind,

@@ -2,9 +2,11 @@
 
 Right-handed frames, column-vector convention, angles in radians. Matrices
 are plain float64 numpy arrays: (3, 3) for rotations, (4, 4) for rigid
-transforms with the fixed bottom row (0, 0, 0, 1). The rotation builders
-also take arrays of angles and return stacks of shape (..., 3, 3), which is
-how the joint-space planners evaluate the tips of a block of the time grid.
+transforms with the fixed bottom row (0, 0, 0, 1). The builders take one
+angle each; they serve the oracles, the homogeneous-chain FK and the
+queries. ``euler_entries`` writes the X-Y-Z Euler rotation as the
+arithmetic of its direction cosines instead, which runs alike on floats for
+one pose and on arrays for a grid of poses.
 """
 
 from __future__ import annotations
@@ -18,51 +20,38 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
 
 
-def _stacked_rotation(angles: np.ndarray, axis: int) -> np.ndarray:
-    """Rotations (..., 3, 3) about coordinate axis ``axis``, filled into one
-    preallocated array."""
-    c, s = np.cos(angles), np.sin(angles)
-    j, k = (axis + 1) % 3, (axis + 2) % 3
-    r = np.zeros(c.shape + (3, 3))
-    r[..., axis, axis] = 1.0
-    r[..., j, j] = r[..., k, k] = c
-    r[..., k, j] = s
-    r[..., j, k] = -s
-    return r
-
-
-# The one-angle bodies below stay literal: filling an array costs them about
-# half again, and the oracles and queries build single rotations.
-
-
-def rot_x(angle) -> np.ndarray:
-    """Rotation about the X axis; an array of angles gives a stack."""
-    if isinstance(angle, np.ndarray) and angle.ndim:
-        return _stacked_rotation(angle, 0)
+def rot_x(angle: float) -> np.ndarray:
+    """Rotation about the X axis."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def rot_y(angle) -> np.ndarray:
-    """Rotation about the Y axis; an array of angles gives a stack."""
-    if isinstance(angle, np.ndarray) and angle.ndim:
-        return _stacked_rotation(angle, 1)
+def rot_y(angle: float) -> np.ndarray:
+    """Rotation about the Y axis."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def rot_z(angle) -> np.ndarray:
-    """Rotation about the Z axis; an array of angles gives a stack."""
-    if isinstance(angle, np.ndarray) and angle.ndim:
-        return _stacked_rotation(angle, 2)
+def rot_z(angle: float) -> np.ndarray:
+    """Rotation about the Z axis."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def euler_xyz(psi, theta, phi) -> np.ndarray:
-    """X-Y-Z Euler rotation: rot_x(psi) @ rot_y(theta) @ rot_z(phi); stacked
-    like the rotations when the angles are arrays."""
+def euler_xyz(psi: float, theta: float, phi: float) -> np.ndarray:
+    """X-Y-Z Euler rotation: rot_x(psi) @ rot_y(theta) @ rot_z(phi)."""
     return rot_x(psi) @ rot_y(theta) @ rot_z(phi)
+
+
+def euler_entries(cps, sps, ct, st, cph, sph):
+    """The nine entries of euler_xyz(psi, theta, phi), row by row, from the
+    cosines and sines of psi, theta and phi: floats give one rotation, arrays
+    (or floats mixed with arrays) a grid of rotations."""
+    return (
+        ct * cph, -ct * sph, st,
+        cps * sph + sps * st * cph, cps * cph - sps * st * sph, -sps * ct,
+        sps * sph - cps * st * cph, sps * cph + cps * st * sph, cps * ct,
+    )
 
 
 def trans_z(d: float) -> np.ndarray:

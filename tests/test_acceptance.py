@@ -65,7 +65,7 @@ def demo_run():
 def test_criterion_1_reference_scenario_execution(demo_run, tmp_path):
     scenario, plan, elapsed = demo_run
     write_plan_csv(plan, tmp_path / "demo.csv")
-    end = plan.poses[-1]
+    end = PlatformPose(*plan.pose_grid[-1])
     ok = (
         plan.duration == 4.5
         and plan.samples == 451
@@ -182,10 +182,11 @@ def test_criterion_5_acceleration_residual(demo_run):
             plan.pose_accels[i, 0], plan.pose_accels[i, 1],
         )
         joints = SphericalJoints(*track.joints[i])
-        pair = jacobians(plan.poses[i], joints, geometry)
+        pose = PlatformPose(*plan.pose_grid[i])
+        pair = jacobians(pose, joints, geometry)
         # B-dot from the finite-difference oracle, not the analytic B-dot
         # that produced the planned accelerations.
-        b_dot = finite_difference_b_rate(plan.poses[i], joints, geometry, rates)
+        b_dot = finite_difference_b_rate(pose, joints, geometry, rates)
         # Tip velocity and acceleration are zero, so the full relation
         # A xddot + Adot xdot + B qddot + Bdot qdot reduces to the last two.
         residual = pair.b @ rates.accels_internal() + b_dot @ rates.rates_internal()

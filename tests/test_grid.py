@@ -9,6 +9,7 @@ up to the last printed digit of a joint value).
 """
 
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -43,7 +44,7 @@ from rcmkin import (
     sample_profile,
     stretch_profile,
 )
-from rcmkin import trajectory, transforms
+from rcmkin import trajectory
 from rcmkin.differential import check_nonsingular, check_same_sign, signed_measure
 from rcmkin.trajectory import _BLOCK, time_grid
 
@@ -73,10 +74,12 @@ def _reference_type4(
     start, delta_psi, delta_theta, limits, dt, instruments, branch=IkBranch.PRINCIPAL
 ):
     """Per instrument, the rows (joints, rates, accels, tip, sing) of a type-4
-    plan, one sample at a time."""
+    plan, one sample at a time. q2 is unwrapped by whole turns against the
+    sample before, and the unwrapped joints are checked against the travel."""
     (p_psi, p_theta), t_total = _synchronized((delta_psi, delta_theta), limits)
     rows = [[] for _ in instruments]
     previous = [None] * len(instruments)
+    last_q2 = [None] * len(instruments)
     for t in time_grid(t_total, dt):
         s_psi, v_psi, a_psi = sample_profile(p_psi, t)
         s_theta, v_theta, a_theta = sample_profile(p_theta, t)
@@ -84,7 +87,11 @@ def _reference_type4(
         for k, (geometry, tip) in enumerate(instruments):
             with _at(t):
                 joints = ik_full(pose, tip, geometry, branch)
-                pair = jacobians(pose, joints, geometry)
+                if last_q2[k] is not None:
+                    turns = round((joints.q2 - last_q2[k]) / 360.0)
+                    joints = replace(joints, q2=joints.q2 - 360.0 * turns)
+                last_q2[k] = joints.q2
+                pair = jacobians(pose, joints, geometry)  # checks the joints first
                 check_nonsingular(pair.sigma)
                 check_same_sign(previous[k], pair.sigma)
                 previous[k] = pair.sigma
@@ -163,16 +170,24 @@ def test_multi_block_type3_plan_matches_fk_and_signed_measure():
 
 
 def test_type4_plan_builds_no_rotation_stack_and_runs_no_solver(monkeypatch):
+    # Both planners, each over more than one block: no rotation matrix is
+    # built and no linear system solved on any sample.
     def forbidden(*args, **kwargs):
-        raise AssertionError("called by plan_type4")
+        raise AssertionError("called by a planner")
 
     monkeypatch.setattr(np.linalg, "solve", forbidden)
-    monkeypatch.setattr(transforms, "_stacked_rotation", forbidden)
+    for module in [m for name, m in sys.modules.items() if name.startswith("rcmkin")]:
+        for name in ("rot_x", "rot_y", "rot_z"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     left = left_geometry()
     instruments = [(left, LEFT_TIP), (mirrored(left), RIGHT_TIP)]
     plan = plan_type4(DEMO_POSE, 15.0, 25.0, LIMITS, 0.004, instruments)
     assert plan.samples > _BLOCK
     assert len(plan.instruments) == 2
+    start, target = SphericalJoints(0.0, 10.0, 150.0), SphericalJoints(25.0, -15.0, 200.0)
+    plan = plan_type3_manipulate(DEMO_POSE, start, target, left, LIMITS, 0.004)
+    assert plan.samples > _BLOCK
 
 
 def _assert_same_rejection(planned, reference, expected_type):
@@ -270,8 +285,10 @@ def test_rejected_type3_plan_computes_no_tips(monkeypatch, target, geometry, dt,
     # The grid is screened whole before any tip, so a rejection at or after
     # sample _BLOCK leaves the first block's tips uncomputed too.
     calls = []
-    tip_grid = trajectory.tip_grid
-    monkeypatch.setattr(trajectory, "tip_grid", lambda *args: calls.append(1) or tip_grid(*args))
+    tip_position = trajectory.tip_position
+    monkeypatch.setattr(
+        trajectory, "tip_position", lambda *args: calls.append(1) or tip_position(*args)
+    )
     with pytest.raises(expected) as error:
         plan_type3_manipulate(
             PlatformPose(0, 0, -500, 0, 0, 0), SphericalJoints(0.0, 0.0, 150.0), target,
@@ -279,6 +296,35 @@ def test_rejected_type3_plan_computes_no_tips(monkeypatch, target, geometry, dt,
         )
     assert error.value.sample_time > (_BLOCK - 0.5) * dt
     assert calls == []
+
+
+def _mirror_case_through_180(q2_limit, dt=0.1):
+    # On the mirror branch q2 rises from 175 deg through 180 deg, where the
+    # IK wraps it to -180 deg, to about 185.04 deg.
+    pose = PlatformPose(0, 0, -500, 0, 0, 0)
+    g = left_geometry(q2_limit=q2_limit)
+    tip = fk_tip_fixed(pose, SphericalJoints(10.0, 175.0, 150.0), g)
+    return pose, 0.0, -10.0, LIMITS, dt, [(g, tip)], IkBranch.MIRROR
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.002])  # 30 samples; 1415, past 180 deg in block 1
+def test_mirror_branch_q2_stays_continuous_through_180(dt):
+    args = _mirror_case_through_180(200.0, dt)
+    plan = plan_type4(*args)
+    q2 = plan.instruments[0].joints[:, 1]
+    assert np.all(np.diff(q2) > 0.0)
+    assert q2[0] == pytest.approx(175.0, abs=1e-9)
+    assert q2[-1] == pytest.approx(185.0377034705, abs=1e-9)
+    _assert_tracks_match(plan, _reference_type4(*args))
+
+
+def test_mirror_branch_q2_past_a_180_deg_travel_is_rejected():
+    args = _mirror_case_through_180(180.0)
+    error = _assert_same_rejection(
+        lambda: plan_type4(*args), lambda: _reference_type4(*args), JointLimitError
+    )
+    assert error.sample_time == pytest.approx(1.46297955, abs=1e-8)
+    assert str(error).split(": ", 1)[1].startswith("q2 = 180.373")
 
 
 def _left_q1_limit_failing_at(index, dt):

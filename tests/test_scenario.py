@@ -156,9 +156,9 @@ def test_endoscope_tips_equal_the_euler_rotation_product(rng, insertion):
         rng.uniform(-89, 89, (n, 2)), rng.uniform(-180, 180, n),
     ])
     plan = SimpleNamespace(pose_grid=pose_grid)  # all endoscope_tips reads of a plan
-    angles = np.radians(pose_grid[:, 3:])
-    rotation = euler_xyz(angles[:, 0], angles[:, 1], angles[:, 2])
-    expected = rotation @ np.array([0.0, 0.0, -insertion]) + pose_grid[:, :3]
+    expected = [
+        euler_xyz(*np.radians(row[3:])) @ [0.0, 0.0, -insertion] + row[:3] for row in pose_grid
+    ]
     np.testing.assert_allclose(endoscope_tips(plan, insertion), expected, rtol=0, atol=1e-12)
 
 

@@ -110,8 +110,9 @@ def test_type4_demo_plan(demo_pose, demo_geometry, demo_tip, demo_limits):
                       [(demo_geometry, demo_tip)])
     assert plan.samples == 451
     assert plan.duration == 4.5
-    assert plan.poses[-1].psi == 0.0
-    assert plan.poses[-1].theta == 35.0
+    end = PlatformPose(*plan.pose_grid[-1])
+    assert end.psi == 0.0
+    assert end.theta == 35.0
     drift = np.abs(plan.instruments[0].tip - plan.instruments[0].tip[0]).max()
     assert drift <= 1e-9
 
@@ -120,7 +121,7 @@ def test_type4_zero_delta_single_sample(demo_pose, demo_geometry, demo_tip, demo
     plan = plan_type4(demo_pose, 0.0, 0.0, demo_limits, 0.01,
                       [(demo_geometry, demo_tip)])
     assert plan.samples == 1
-    assert plan.poses[0] == demo_pose
+    assert PlatformPose(*plan.pose_grid[0]) == demo_pose
     assert np.array_equal(plan.pose_rates, [[0.0, 0.0]])
 
 
@@ -136,7 +137,7 @@ def test_type4_holds_position_and_phi_bitwise(demo_pose, demo_geometry, demo_tip
                                               demo_limits):
     plan = plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.05,
                       [(demo_geometry, demo_tip)])
-    for pose in plan.poses:
+    for pose in (PlatformPose(*row) for row in plan.pose_grid):
         assert (pose.x, pose.y, pose.z, pose.phi) == (
             demo_pose.x, demo_pose.y, demo_pose.z, demo_pose.phi
         )
@@ -173,12 +174,13 @@ def test_type4_reversed_plan_returns_to_start(demo_pose, demo_geometry, demo_tip
                                               demo_limits):
     forward = plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.01,
                          [(demo_geometry, demo_tip)])
-    back = plan_type4(forward.poses[-1], -15.0, -25.0, demo_limits, 0.01,
+    back = plan_type4(PlatformPose(*forward.pose_grid[-1]), -15.0, -25.0, demo_limits, 0.01,
                       [(demo_geometry, demo_tip)])
     assert np.allclose(back.instruments[0].joints[-1],
                        forward.instruments[0].joints[0], atol=1e-9)
-    assert back.poses[-1].psi == pytest.approx(demo_pose.psi, abs=1e-12)
-    assert back.poses[-1].theta == pytest.approx(demo_pose.theta, abs=1e-12)
+    end = PlatformPose(*back.pose_grid[-1])
+    assert end.psi == pytest.approx(demo_pose.psi, abs=1e-12)
+    assert end.theta == pytest.approx(demo_pose.theta, abs=1e-12)
 
 
 def test_type4_branch_stable_joint_continuity(demo_pose, demo_geometry, demo_tip,

@@ -12,17 +12,15 @@ def test_rot_builders_identity_at_zero():
         assert np.array_equal(build(0.0), np.eye(3))
 
 
-def test_stacked_builders_equal_the_single_angle_ones(rng):
-    angles = rng.uniform(-math.pi, math.pi, (4, 5))
-    for build in (tf.rot_x, tf.rot_y, tf.rot_z):
-        stacked = build(angles)
-        assert stacked.shape == (4, 5, 3, 3)
-        for index in np.ndindex(angles.shape):
-            assert np.allclose(stacked[index], build(float(angles[index])), rtol=0.0, atol=1e-15)
-    stacked = tf.euler_xyz(angles[0], angles[1], angles[2])
-    for i in range(5):
-        single = tf.euler_xyz(float(angles[0, i]), float(angles[1, i]), float(angles[2, i]))
-        assert np.allclose(stacked[i], single, rtol=0.0, atol=1e-15)
+def test_euler_entries_equal_euler_xyz_for_floats_and_arrays(rng):
+    angles = rng.uniform(-math.pi, math.pi, (3, 50))
+    cos_sin = [f(a) for a in angles for f in (np.cos, np.sin)]
+    grid = np.stack(tf.euler_entries(*cos_sin), axis=-1).reshape(-1, 3, 3)
+    for i in range(angles.shape[1]):
+        single = tf.euler_xyz(*angles[:, i].tolist())
+        floats = [f(a) for a in angles[:, i].tolist() for f in (math.cos, math.sin)]
+        assert np.allclose(np.reshape(tf.euler_entries(*floats), (3, 3)), single, rtol=0, atol=1e-15)
+        assert np.allclose(grid[i], single, rtol=0, atol=1e-15)
 
 
 def test_rot_x_right_hand_rule():
