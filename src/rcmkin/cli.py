@@ -174,8 +174,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate() -> int:
-    # Deferred: importing the oracles costs about 7 ms, a few per cent of the
-    # set-up of every process that never validates.
+    # Deferred: importing the oracles costs about 1.3 ms from cached bytecode
+    # and 5 ms compiled from source, up to a few per cent of the set-up of
+    # every process that never validates.
     from . import validation
 
     results = validation.run_all()

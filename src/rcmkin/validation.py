@@ -1,16 +1,38 @@
 """Self-check oracles: independent recomputations of the core kinematic maps.
 
 Each check pits an implementation against an algorithmically independent
-route -- quaternion algebra, the homogeneous-transform chain FK, central
-finite differences of the tip map and of B, numeric root finding -- on
-seeded random inputs, and reports the worst observed error against a fixed
-tolerance.
+route on seeded random inputs, and reports the worst observed error against
+a fixed tolerance. Six checks draw their n configurations as (n,) columns,
+one generator call per field (``_draw``), and run both routes on the columns
+at once:
+
+- euler-quaternion: ``transforms.euler_entries`` against the rotation
+  rebuilt by quaternion composition (``euler_quaternion_oracle``);
+- euler-roundtrip: angle extraction (``_euler_xyz_angles``) inverts
+  ``euler_entries`` away from the degeneracy;
+- dual-path-fk: the direction-cosine tip map (``spherical.insertion``,
+  ``tip_position``) against the homogeneous chain ``fk_tip_fixed_chain``;
+- fk-ik-roundtrip: ``tip_position``, ``tip_vector`` and ``solve_ik`` on
+  ``IK_GRID`` return the sampled tip; a sample ``ik_faults`` rejects, or a
+  branch flip, reads inf;
+- jacobian-fd: the analytic B (``differential.jacobians``) against central
+  finite differences of the column tip map;
+- numeric-ik: the closed-form IK against a batched Gauss-Newton root of the
+  column tip residual.
+
+Each configuration keeps its own random geometry: the column bodies read it
+through ``_Geometries``, which holds only what they read (``tilts``,
+``port.offset`` and ``travel``) as (n,) columns. The homogeneous chain and
+the analytic B and B-dot take objects, so they still run per configuration,
+as does the whole of jacobian-rate-fd (B-dot against central differences of
+B). No check calls the scalar queries ``fk_tip_fixed`` or ``ik_full``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,15 +40,19 @@ from . import differential
 from .differential import InputRates
 from .platform import PlatformPose
 from .spherical import (
+    IK_GRID,
     IkBranch,
     SphericalGeometry,
     SphericalJoints,
-    fk_tip_fixed,
     fk_tip_fixed_chain,
-    ik_full,
+    ik_faults,
+    insertion,
     left_geometry,
+    solve_ik,
+    tip_position,
+    tip_vector,
 )
-from .transforms import euler_xyz
+from .transforms import euler_entries
 
 DEFAULT_SEED = 20240901
 
@@ -56,31 +82,37 @@ def _worse(worst: float, err: float) -> float:
     return err if err > worst or math.isnan(err) else worst
 
 
+def _largest(errors: np.ndarray) -> float:
+    """The largest entry of an error array, 0.0 for an empty one; a NaN entry
+    gives NaN, as ``_worse`` keeps it."""
+    return float(np.max(errors, initial=0.0))
+
+
 # --- quaternion algebra (w, x, y, z), used only as an oracle ---------------
+#
+# Written elementwise: float angles give one rotation, (n,) columns n.
 
 
-def _quat_axis(angle: float, axis: int) -> np.ndarray:
-    q = np.zeros(4)
-    q[0] = math.cos(angle / 2.0)
-    q[1 + axis] = math.sin(angle / 2.0)
+def _quat_axis(angle, axis: int) -> list:
+    q = [np.cos(angle / 2.0), 0.0, 0.0, 0.0]
+    q[1 + axis] = np.sin(angle / 2.0)
     return q
 
 
-def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _quat_mul(p, q) -> tuple:
     pw, px, py, pz = p
     qw, qx, qy, qz = q
-    return np.array(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ]
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
     )
 
 
-def _quat_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q / np.linalg.norm(q)
+def _quat_matrix(q) -> np.ndarray:
+    norm = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    w, x, y, z = (c / norm for c in q)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -90,109 +122,169 @@ def _quat_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def euler_quaternion_oracle(psi: float, theta: float, phi: float) -> np.ndarray:
-    """X-Y-Z Euler rotation rebuilt through quaternion composition."""
+def euler_quaternion_oracle(psi, theta, phi) -> np.ndarray:
+    """X-Y-Z Euler rotation rebuilt through quaternion composition: (3, 3)
+    for float angles, (3, 3, n) for (n,) columns."""
     q = _quat_mul(_quat_mul(_quat_axis(psi, 0), _quat_axis(theta, 1)), _quat_axis(phi, 2))
     return _quat_matrix(q)
 
 
-def _euler_xyz_angles(r: np.ndarray) -> tuple[float, float, float]:
-    """Extract (psi, theta, phi) from an X-Y-Z Euler rotation matrix.
+def _euler_xyz_angles(r: np.ndarray) -> tuple:
+    """Extract (psi, theta, phi) from an X-Y-Z Euler rotation matrix (3, 3),
+    or from a stack (3, 3, n) as three (n,) columns.
 
     Valid away from theta = +/-pi/2, where the parametrization degenerates
     and psi/phi are no longer separable.
     """
-    theta = math.asin(min(1.0, max(-1.0, float(r[0, 2]))))
-    psi = math.atan2(-r[1, 2], r[2, 2])
-    phi = math.atan2(-r[0, 1], r[0, 0])
+    theta = np.arcsin(np.clip(r[0, 2], -1.0, 1.0))
+    psi = np.arctan2(-r[1, 2], r[2, 2])
+    phi = np.arctan2(-r[0, 1], r[0, 0])
     return psi, theta, phi
 
 
 # --- random sampling --------------------------------------------------------
 
+#: Ranges of the drawn pose fields x, y, z (mm) and psi, theta, phi (deg),
+#: and of the drawn geometry's alpha, beta (deg) and port spacing (mm).
+_POSE_RANGES = ((-100, 100), (-100, 100), (-700, -300), (-60, 60), (-60, 60), (-180, 180))
+_SHAPE_RANGES = ((0, 30), (0, 30), (5, 20))
+
+
+def _joint_ranges(margin: float) -> tuple:
+    swing = 90.0 - margin
+    return (-swing, swing), (-swing, swing), (20, 280)
+
+
+def _draw(rng: np.random.Generator, ranges, n: int) -> np.ndarray:
+    """n uniform draws per range, one generator call per field: rows (k, n).
+    With n = 1 the stream is consumed as by one scalar call per field."""
+    return np.array([rng.uniform(lo, hi, n) for lo, hi in ranges])
+
+
+def _draw_configurations(rng: np.random.Generator, n: int, margin: float = 10.0) -> tuple:
+    """Pose rows (6, n), geometry rows (alpha, beta, spacing; 3, n) and joint
+    rows (q1, q2, q3; 3, n) of n random configurations. With n = 1 the
+    values are those of ``_random_pose``, ``_random_geometry`` and
+    ``_random_joints`` called in that order."""
+    return (
+        _draw(rng, _POSE_RANGES, n),
+        _draw(rng, _SHAPE_RANGES, n),
+        _draw(rng, _joint_ranges(margin), n),
+    )
+
 
 def _random_pose(rng: np.random.Generator) -> PlatformPose:
-    return PlatformPose(
-        rng.uniform(-100, 100),
-        rng.uniform(-100, 100),
-        rng.uniform(-700, -300),
-        rng.uniform(-60, 60),
-        rng.uniform(-60, 60),
-        rng.uniform(-180, 180),
-    )
+    return PlatformPose(*_draw(rng, _POSE_RANGES, 1)[:, 0].tolist())
 
 
 def _random_geometry(rng: np.random.Generator) -> SphericalGeometry:
-    return left_geometry(
-        alpha=rng.uniform(0, 30),
-        beta=rng.uniform(0, 30),
-        port_spacing=rng.uniform(5, 20),
-    )
+    return left_geometry(*_draw(rng, _SHAPE_RANGES, 1)[:, 0].tolist())
 
 
 def _random_joints(rng: np.random.Generator, margin: float = 10.0) -> SphericalJoints:
-    swing = 90.0 - margin
-    return SphericalJoints(
-        rng.uniform(-swing, swing), rng.uniform(-swing, swing), rng.uniform(20, 280)
+    return SphericalJoints(*_draw(rng, _joint_ranges(margin), 1)[:, 0].tolist())
+
+
+def _objects(poses: np.ndarray, shapes: np.ndarray, joints: np.ndarray) -> zip:
+    """(PlatformPose, SphericalJoints, SphericalGeometry) per configuration,
+    the arguments of the routes that take objects."""
+    return zip(
+        [PlatformPose(*row) for row in poses.T.tolist()],
+        [SphericalJoints(*row) for row in joints.T.tolist()],
+        [left_geometry(*row) for row in shapes.T.tolist()],
     )
+
+
+# --- column tip map ---------------------------------------------------------
+
+
+class _Geometries:
+    """Stand-in for ``left_geometry(alpha, beta, spacing)`` over (n,) columns:
+    the ``tilts`` and ``port.offset`` that the tip and IK bodies read, as
+    columns, and the ``travel`` that ``ik_faults`` reads (every drawn
+    geometry has the default travels)."""
+
+    def __init__(self, alpha, beta, spacing):
+        a, b = np.radians(alpha), np.radians(beta)
+        zero = np.zeros_like(spacing)
+        self.tilts = (np.cos(a), np.sin(a), np.cos(b), np.sin(b))
+        self.port = SimpleNamespace(offset=(-spacing, zero, zero))
+        self.travel = left_geometry().travel
+
+
+def _euler(angles: np.ndarray) -> tuple:
+    """The nine entries of euler_xyz (``euler_entries``) for angle rows (psi,
+    theta, phi) in radians, floats or columns."""
+    c, s = np.cos(angles), np.sin(angles)
+    return euler_entries(c[0], s[0], c[1], s[1], c[2], s[2])
+
+
+def _rotation(pose: np.ndarray) -> tuple:
+    """R's nine entries for pose rows (x, y, z, psi, theta, phi; mm and deg)."""
+    return _euler(np.radians(pose[3:]))
+
+
+def _tip(r, pose: np.ndarray, joints: np.ndarray, geometry) -> np.ndarray:
+    """The fixed-frame tip (``insertion``, ``tip_position``), rows (3, ...),
+    under R's entries ``r`` and pose rows ``pose``, for joint rows (q1, q2,
+    q3; deg and mm) and a geometry or its column stand-in."""
+    angles = np.radians(joints[:2])
+    c, s = np.cos(angles), np.sin(angles)
+    m = insertion(c[0], s[0], c[1], s[1], geometry)
+    return np.array(tip_position(r, m, joints[2], geometry, pose[:3]))
+
+
+def _closed_form_ik(r, pose: np.ndarray, tips: np.ndarray, geometry) -> tuple:
+    """Principal-branch joint rows (3, n) for tip rows, and the mask of the
+    configurations ``ik_faults`` rejects."""
+    solved, sin_q2 = solve_ik(
+        tip_vector(r, tips - pose[:3], geometry), geometry, IkBranch.PRINCIPAL, IK_GRID
+    )
+    return np.array([solved.q1, solved.q2, solved.q3]), ik_faults(solved, sin_q2, geometry)
 
 
 # --- checks -----------------------------------------------------------------
 
 
 def check_euler_quaternion(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
-    """euler_xyz against the quaternion-composition oracle."""
+    """euler_entries against the quaternion-composition oracle."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        psi, theta, phi = rng.uniform(-math.pi, math.pi, 3)
-        diff = np.abs(euler_xyz(psi, theta, phi) - euler_quaternion_oracle(psi, theta, phi))
-        worst = _worse(worst, float(diff.max()))
-    return OracleResult("euler-quaternion", worst, 1e-12, n)
+    angles = _draw(rng, ((-math.pi, math.pi),) * 3, n)
+    diff = np.abs(np.reshape(_euler(angles), (3, 3, n)) - euler_quaternion_oracle(*angles))
+    return OracleResult("euler-quaternion", _largest(diff), 1e-12, n)
 
 
 def check_euler_roundtrip(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
-    """Angle extraction inverts euler_xyz away from the degeneracy."""
+    """Angle extraction inverts euler_entries away from the degeneracy."""
     rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(n):
-        angles = (
-            rng.uniform(-math.pi, math.pi),
-            rng.uniform(-math.pi / 2 + 1e-5, math.pi / 2 - 1e-5),
-            rng.uniform(-math.pi, math.pi),
-        )
-        recovered = _euler_xyz_angles(euler_xyz(*angles))
-        worst = _worse(worst, float(np.abs(np.subtract(angles, recovered)).max()))
-    return OracleResult("euler-roundtrip", worst, 1e-9, n)
+    limits = ((-math.pi, math.pi), (-math.pi / 2 + 1e-5, math.pi / 2 - 1e-5), (-math.pi, math.pi))
+    angles = _draw(rng, limits, n)
+    recovered = _euler_xyz_angles(np.reshape(_euler(angles), (3, 3, n)))
+    return OracleResult("euler-roundtrip", _largest(np.abs(angles - recovered)), 1e-9, n)
 
 
 def check_dual_path_fk(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleResult:
     """Direction-cosine expansion against homogeneous-chain evaluation."""
     rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    for _ in range(n):
-        pose, g = _random_pose(rng), _random_geometry(rng)
-        joints = _random_joints(rng)
-        diff = np.abs(fk_tip_fixed(pose, joints, g) - fk_tip_fixed_chain(pose, joints, g))
-        worst = _worse(worst, float(diff.max()))
-    return OracleResult("dual-path-fk", worst, 1e-12, n)
+    poses, shapes, joints = _draw_configurations(rng, n)
+    tips = _tip(_rotation(poses), poses, joints, _Geometries(*shapes))
+    chain = [fk_tip_fixed_chain(*config) for config in _objects(poses, shapes, joints)]
+    diff = np.abs(tips.T - np.reshape(chain, (n, 3)))
+    return OracleResult("dual-path-fk", _largest(diff), 1e-12, n)
 
 
 def check_fk_ik_roundtrip(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleResult:
     """FK of the IK solution returns the sampled tip; principal branch only."""
     rng = np.random.default_rng(seed + 3)
-    worst = 0.0
-    flips = 0
-    for _ in range(n):
-        pose, g = _random_pose(rng), _random_geometry(rng)
-        joints = _random_joints(rng)
-        tip = fk_tip_fixed(pose, joints, g)
-        solved = ik_full(pose, tip, g, IkBranch.PRINCIPAL)
-        if abs(solved.q2 - joints.q2) > 1e-6:
-            flips += 1
-        worst = _worse(worst, float(np.abs(fk_tip_fixed(pose, solved, g) - tip).max()))
-    if flips:
-        worst = math.inf  # a branch flip is a hard failure, not a small error
+    poses, shapes, joints = _draw_configurations(rng, n)
+    g, r = _Geometries(*shapes), _rotation(poses)
+    tips = _tip(r, poses, joints, g)
+    solved, faults = _closed_form_ik(r, poses, tips, g)
+    flips = np.abs(solved[1] - joints[1]) > 1e-6
+    if faults.any() or flips.any():
+        worst = math.inf  # a rejected tip or a branch flip is a hard failure
+    else:
+        worst = _largest(np.abs(_tip(r, poses, solved, g) - tips))
     return OracleResult("fk-ik-roundtrip", worst, 1e-9, n)
 
 
@@ -200,12 +292,26 @@ def _shifted(
     pose: PlatformPose, joints: SphericalJoints, d: np.ndarray
 ) -> tuple[PlatformPose, SphericalJoints]:
     """Pose and joints moved by d over (q1, q2, q3, psi, theta), radians and mm."""
-    dq1, dq2, dq3, dpsi, dtheta = d.tolist()  # plain floats: fast scalar FK
+    dq1, dq2, dq3, dpsi, dtheta = d.tolist()  # plain floats: fast scalar B
     dq1, dq2, dpsi, dtheta = map(math.degrees, (dq1, dq2, dpsi, dtheta))
     return (
         PlatformPose(pose.x, pose.y, pose.z, pose.psi + dpsi, pose.theta + dtheta, pose.phi),
         SphericalJoints(joints.q1 + dq1, joints.q2 + dq2, joints.q3 + dq3),
     )
+
+
+def _finite_difference_b(pose, joints, geometry, step: float = 1e-6) -> np.ndarray:
+    """Central-difference B (3, 5, ...) over (q1, q2, q3, psi, theta), radians
+    and mm, of the tip map at pose rows (6, ...) and joint rows (3, ...); each
+    of those five inputs moves by +step and -step in turn, radians as degrees."""
+    inputs = np.concatenate([pose, joints])  # x, y, z, psi, theta, phi, q1, q2, q3
+    moves = np.zeros((9, 10) + (1,) * (inputs.ndim - 1))
+    for k, row in enumerate((6, 7, 8, 3, 4)):
+        h = step if row == 8 else math.degrees(step)
+        moves[row, 2 * k], moves[row, 2 * k + 1] = h, -h
+    moved = inputs[:, None] + moves
+    tips = _tip(_rotation(moved[:6]), moved[:6], moved[6:], geometry)
+    return (tips[:, 0::2] - tips[:, 1::2]) / (2 * step)
 
 
 def finite_difference_b(
@@ -215,11 +321,9 @@ def finite_difference_b(
     step: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference B over (q1, q2, q3, psi, theta), radians and mm."""
-
-    def tip(d: np.ndarray) -> np.ndarray:
-        return fk_tip_fixed(*_shifted(pose, joints, d), geometry)
-
-    return np.column_stack([(tip(d) - tip(-d)) / (2 * step) for d in step * np.eye(5)])
+    rows = [pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi]
+    return _finite_difference_b(np.array(rows), np.array([joints.q1, joints.q2, joints.q3]),
+                                geometry, step)
 
 
 def finite_difference_b_rate(
@@ -246,15 +350,12 @@ def finite_difference_b_rate(
 def check_jacobian_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
     """Analytic B against central finite differences of the tip map."""
     rng = np.random.default_rng(seed + 4)
-    worst = 0.0
-    for _ in range(n):
-        pose, g = _random_pose(rng), _random_geometry(rng)
-        joints = _random_joints(rng)
-        analytic = differential.jacobians(pose, joints, g).b
-        numeric = finite_difference_b(pose, joints, g)
-        rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-        worst = _worse(worst, float(rel.max()))
-    return OracleResult("jacobian-fd", worst, 1e-6, n)
+    poses, shapes, joints = _draw_configurations(rng, n)
+    configs = _objects(poses, shapes, joints)
+    analytic = np.reshape([differential.jacobians(*c).b for c in configs], (n, 3, 5))
+    numeric = np.moveaxis(_finite_difference_b(poses, joints, _Geometries(*shapes)), -1, 0)
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    return OracleResult("jacobian-fd", _largest(rel), 1e-6, n)
 
 
 def check_jacobian_rate_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
@@ -272,20 +373,35 @@ def check_jacobian_rate_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleRes
     return OracleResult("jacobian-rate-fd", worst, 1e-6, n)
 
 
-def _gauss_newton(residual, x0) -> np.ndarray | None:
-    """Root of ``residual`` from ``x0`` by Gauss-Newton steps on a
-    central-difference Jacobian (step 1e-6); None if within 50 iterations no
-    step has fallen to 1e-13 of the iterate."""
-    x = np.asarray(x0, dtype=float)
+def _gauss_newton(residual, x0: np.ndarray) -> np.ndarray:
+    """Roots (k, n) of ``residual`` from the columns of ``x0`` by Gauss-Newton
+    steps on a central-difference Jacobian (step 1e-6).
+
+    ``residual`` maps rows (k, p, n) to rows (k, p, n): the iterate and its
+    2k moved copies. Each column stops once its step has fallen to 1e-13 of
+    its iterate. A column that has not stopped within 50 iterations, or
+    every running column once a Jacobian is singular, gets an inf root.
+    """
+    x = np.array(x0, dtype=float)
+    k, n = x.shape
+    moves = np.zeros((k, 2 * k + 1))
+    for i in range(k):
+        moves[i, 2 * i + 1 : 2 * i + 3] = 1e-6, -1e-6
+    running = np.arange(n)
     for _ in range(50):
-        jac = np.column_stack(
-            [(residual(x + d) - residual(x - d)) / 2e-6 for d in 1e-6 * np.eye(x.size)]
-        )
-        dx = np.linalg.lstsq(jac, -residual(x), rcond=None)[0]
-        x = x + dx
-        if np.abs(dx).max() <= 1e-13 * max(1.0, float(np.abs(x).max())):
+        if running.size == 0:
             return x
-    return None
+        f = residual(x[:, None] + moves[:, :, None])[..., running]
+        jac = (f[:, 1::2] - f[:, 2::2]) / 2e-6
+        try:
+            dx = np.linalg.solve(np.moveaxis(jac, -1, 0), -f[:, 0].T[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError:
+            break
+        x[:, running] += dx
+        scale = np.maximum(1.0, np.abs(x[:, running]).max(axis=0))
+        running = running[~(np.abs(dx).max(axis=0) <= 1e-13 * scale)]
+    x[:, running] = math.inf
+    return x
 
 
 def check_numeric_ik(n: int = 100, seed: int = DEFAULT_SEED) -> OracleResult:
@@ -294,24 +410,21 @@ def check_numeric_ik(n: int = 100, seed: int = DEFAULT_SEED) -> OracleResult:
     The solver starts from a deliberately offset guess; converging back to
     the closed-form joints verifies they are a locally unique root. Its
     Jacobian differences the tip map, not the analytic B, and a case that
-    does not converge fails the check.
+    does not converge fails the check, as does one the closed form rejects.
     """
     rng = np.random.default_rng(seed + 5)
-    worst = 0.0
-    for _ in range(n):
-        pose, g = _random_pose(rng), _random_geometry(rng)
-        joints = _random_joints(rng, margin=20.0)
-        tip = fk_tip_fixed(pose, joints, g)
-        closed = ik_full(pose, tip, g, IkBranch.PRINCIPAL)
-
-        def residual(q, pose=pose, g=g, tip=tip):
-            return fk_tip_fixed(pose, SphericalJoints(*q.tolist()), g) - tip
-
-        root = _gauss_newton(residual, [closed.q1 + 2.0, closed.q2 - 2.0, closed.q3 + 5.0])
-        if root is None:
-            worst = math.inf
-            break
-        worst = _worse(worst, float(np.abs(root - [closed.q1, closed.q2, closed.q3]).max()))
+    poses, shapes, joints = _draw_configurations(rng, n, margin=20.0)
+    g, r = _Geometries(*shapes), _rotation(poses)
+    tips = _tip(r, poses, joints, g)
+    closed, faults = _closed_form_ik(r, poses, tips, g)
+    if faults.any():
+        worst = math.inf
+    else:
+        target = tips[:, None]
+        root = _gauss_newton(
+            lambda q: _tip(r, poses, q, g) - target, closed + np.array([[2.0], [-2.0], [5.0]])
+        )
+        worst = _largest(np.abs(root - closed))
     return OracleResult("numeric-ik", worst, 1e-6, n)
 
 
