@@ -8,12 +8,13 @@ A = -I and B = df/dQ, so the velocity relation A Xdot + B Qdot = 0 reads
 Xdot = B Qdot. B is expressed in millimetres and radians; degree conversion
 happens only at this module's public boundaries.
 
-B and its time derivative B-dot are closed-form products of the tip map's
-rotation factors (``platform_partials``, ``module_partials``): each
-derivative in an angle inserts that axis's generator in front of its
-rotation. ``jacobians``, ``jacobian_rate`` and ``compensation_*`` evaluate
-them on one configuration: they are the paper's public velocity relation,
-and the tests check the planners against them.
+The partials of the insertion direction m in (q1, q2) are written once,
+elementwise (``_insertion_partials``), and both bodies of the relation read
+them. ``_relation`` writes B and B-dot as cross products with the rotation
+axes over R's entries (``euler_entries``); ``jacobians``, ``jacobian_rate``
+and ``compensation_*`` evaluate them on one configuration. They are the
+paper's public velocity relation, and the tests check the planners against
+them; the compensation solves stay general 3x3 solves.
 
 The reorientation planner does not build B. Premultiplying the relation by
 R^T leaves every term in the platform frame as a few (n,) columns over a
@@ -35,16 +36,10 @@ import numpy as np
 from .errors import SingularConfigurationError
 from .platform import PlatformPose, check_pose
 from .spherical import SphericalGeometry, SphericalJoints, check_joints, insertion, tip_position
-from .transforms import euler_entries, rot_x, rot_y, rot_z
+from .transforms import euler_entries
 
 #: Abort threshold on the normalized joint-block determinant.
 SIGMA_MIN = 1e-8
-
-# d/da rot_x(a) = _GEN_X @ rot_x(a), and likewise for Y.
-_GEN_X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-_GEN_Y = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-
-_MINUS_Z = np.array([[0.0], [0.0], [-1.0]])  # a column
 
 # Per-entry factor from (deg, deg, mm, deg, deg) to (rad, rad, mm, rad, rad).
 _DEG = math.pi / 180.0
@@ -96,113 +91,108 @@ class JacobianPair:
     sigma: float
 
 
-def _xy_partials(left, a, b, right, order: int) -> dict:
-    """Partials d^(i+j)/da^i db^j of left @ rot_x(a) @ rot_y(b) @ right for
-    i + j <= order, keyed (i, j), at the angles a and b (radians); ``left``
-    None stands for the identity."""
-    xs = [rot_x(a)]
-    ys = [rot_y(b) @ right]
-    for _ in range(order):
-        xs.append(_GEN_X @ xs[-1])
-        ys.append(_GEN_Y @ ys[-1])
-    if left is not None:
-        xs = [left @ x for x in xs]
-    return {
-        (i, j): xs[i] @ ys[j] for i in range(order + 1) for j in range(order + 1 - i)
-    }
+# --- the velocity relation as elementwise closed forms ----------------------
+#
+# Every vector is a tuple of three entries: floats for one configuration,
+# (n,) columns for a block of the grid. The module's vectors are taken in the
+# frame after rot_y(alpha).
 
 
-def platform_partials(psi, theta, phi: float, order: int) -> dict:
-    """Partials up to ``order`` of the platform rotation
-    R = rot_x(psi) rot_y(theta) rot_z(phi) in (psi, theta), each (3, 3).
-    Angles in degrees."""
-    return _xy_partials(
-        None, _DEG * psi, _DEG * theta, rot_z(math.radians(phi)), order
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
 
 
-def module_partials(q1, q2, geometry: SphericalGeometry, order: int) -> dict:
-    """Partials up to ``order`` of the unit insertion direction
-    m = rot_y(alpha) rot_x(q1) rot_y(q2) rot_x(beta) (-z) in (q1, q2), each a
-    column (3, 1). Angles in degrees."""
-    return _xy_partials(
-        rot_y(math.radians(geometry.alpha)),
-        _DEG * q1,
-        _DEG * q2,
-        rot_x(math.radians(geometry.beta)) @ _MINUS_Z,
-        order,
+def _mix(*terms):
+    """The sum of k v over the pairs (k, v) of ``terms``."""
+    return tuple(sum(k * v[i] for k, v in terms) for i in range(3))
+
+
+def _turn_y(v, c: float, s: float):
+    """rot_y(angle) v, given cos and sin of the angle."""
+    return (c * v[0] + s * v[2], v[1], c * v[2] - s * v[0])
+
+
+def _rotate(r, v):
+    """R v from R's entries ``r`` (``euler_entries``)."""
+    r11, r12, r13, r21, r22, r23, r31, r32, r33 = r
+    return (
+        r11 * v[0] + r12 * v[1] + r13 * v[2],
+        r21 * v[0] + r22 * v[1] + r23 * v[2],
+        r31 * v[0] + r32 * v[1] + r33 * v[2],
     )
 
 
-def _rate(partials: dict, i: int, j: int, w1, w2):
-    """Time derivative of partials[i, j] along the angle rates (w1, w2)."""
-    return w1 * partials[i + 1, j] + w2 * partials[i, j + 1]
-
-
-def _arm(m: dict, q3, geometry: SphericalGeometry):
-    """Platform-frame tip arm offset + q3 m, a column."""
-    return geometry.port.offset_vec[:, None] + q3 * m[0, 0]
-
-
-def _joint_block(m: dict, q3):
-    """Joint columns [q3 dm/dq1, q3 dm/dq2, m] of B before the rotation R."""
-    return np.concatenate([q3 * m[1, 0], q3 * m[0, 1], m[0, 0]], axis=-1)
-
-
-def _b_matrix(m: dict, r: dict, q3, geometry: SphericalGeometry) -> np.ndarray:
-    """B (..., 3, 5) from the order-1 partials; q3 shaped (..., 1, 1)."""
-    arm = _arm(m, q3, geometry)
-    return np.concatenate(
-        [r[0, 0] @ _joint_block(m, q3), r[1, 0] @ arm, r[0, 1] @ arm], axis=-1
+def _insertion_partials(c1, s1, c2, s2, geometry: SphericalGeometry):
+    """m (``spherical.insertion``) and its partials m1, m2, m11, m12 and m22
+    in (q1, q2), from the cosines and sines of q1 and q2."""
+    _, _, cb, sb = geometry.tilts
+    m = insertion(c1, s1, c2, s2, geometry)
+    m2 = (-c2 * cb, -s1 * s2 * cb, c1 * s2 * cb)
+    return (
+        m,
+        (0.0, -m[2], m[1]),
+        m2,
+        (0.0, -m[1], -m[2]),
+        (0.0, -m2[2], m2[1]),
+        (-m[0], sb * c1 - m[1], sb * s1 - m[2]),
     )
 
 
-def _b_rate(m: dict, r: dict, q3, geometry: SphericalGeometry, rates) -> np.ndarray:
-    """B-dot (..., 3, 5) from the order-2 partials along the input rates
-    (..., 5) in radians and millimetres per second.
+def _relation(pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGeometry,
+              rates=None) -> np.ndarray:
+    """B (3, 5) over (q1, q2, q3, psi, theta) in radians and mm or, given the
+    input rates (five floats, radians and mm per second), B-dot.
 
-    The product rule applied to each column of B: every angle rate inserts
-    one more generator in front of its rotation factor.
+    With A = rot_y(alpha) and the arm u = R (offset + q3 A m), B's columns
+    are R A (q3 m1), R A (q3 m2), R A m, e_x x u and e x u, where
+    e = (0, cos psi, sin psi): dR/dpsi = [e_x]x R and dR/dtheta = [e]x R.
+    B-dot is their product rule, d(R v)/dt = w x (R v) + R v' with the
+    platform's angular velocity w = psi' e_x + theta' e, so
+    u' = w x u + B_q q'; the theta column also turns with
+    e' = psi' (0, -sin psi, cos psi).
     """
-    w1, w2, v3, w_psi, w_theta = np.moveaxis(rates[..., None, None], -3, 0)
-    arm, block = _arm(m, q3, geometry), _joint_block(m, q3)
-    m_dot = _rate(m, 0, 0, w1, w2)
-    arm_dot = v3 * m[0, 0] + q3 * m_dot
-    block_dot = np.concatenate(
-        [
-            v3 * m[1, 0] + q3 * _rate(m, 1, 0, w1, w2),
-            v3 * m[0, 1] + q3 * _rate(m, 0, 1, w1, w2),
-            m_dot,
-        ],
-        axis=-1,
+    ca, sa, _, _ = geometry.tilts
+    q1, q2, q3 = _DEG * joints.q1, _DEG * joints.q2, joints.q3
+    m, m1, m2, m11, m12, m22 = _insertion_partials(
+        math.cos(q1), math.sin(q1), math.cos(q2), math.sin(q2), geometry
     )
-    return np.concatenate(
-        [
-            _rate(r, 0, 0, w_psi, w_theta) @ block + r[0, 0] @ block_dot,
-            _rate(r, 1, 0, w_psi, w_theta) @ arm + r[1, 0] @ arm_dot,
-            _rate(r, 0, 1, w_psi, w_theta) @ arm + r[0, 1] @ arm_dot,
-        ],
-        axis=-1,
+    r = pose.rotation_entries
+    cps, sps = math.cos(_DEG * pose.psi), math.sin(_DEG * pose.psi)
+    e_x, e = (1.0, 0.0, 0.0), (0.0, cps, sps)
+
+    def fixed(v):  # R A v
+        return _rotate(r, _turn_y(v, ca, sa))
+
+    joint = [fixed(_mix((q3, m1))), fixed(_mix((q3, m2))), fixed(m)]
+    arm = _mix((1.0, _rotate(r, geometry.port.offset)), (q3, joint[2]))
+    if rates is None:
+        return np.array(joint + [_cross(e_x, arm), _cross(e, arm)]).T
+    w1, w2, v3, w_psi, w_theta = rates
+    w = (w_psi, w_theta * cps, w_theta * sps)
+    inner = (
+        _mix((v3, m1), (q3 * w1, m11), (q3 * w2, m12)),
+        _mix((v3, m2), (q3 * w1, m12), (q3 * w2, m22)),
+        _mix((w1, m1), (w2, m2)),
     )
+    arm_dot = _mix((1.0, _cross(w, arm)), (w1, joint[0]), (w2, joint[1]), (v3, joint[2]))
+    e_dot = (0.0, -w_psi * sps, w_psi * cps)
+    return np.array(
+        [_mix((1.0, _cross(w, j)), (1.0, fixed(d))) for j, d in zip(joint, inner)]
+        + [_cross(e_x, arm_dot), _mix((1.0, _cross(e_dot, arm)), (1.0, _cross(e, arm_dot)))]
+    ).T
 
 
-def _joint_solve(b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve b_q x = rhs over the stack (rhs columns (..., 3, 1)); x (..., 3)
-    with its angle entries in degrees."""
-    return np.linalg.solve(b[..., :3], rhs)[..., 0] * _TO_USER
-
-
-def _joint_rates(b: np.ndarray, pose_rates) -> np.ndarray:
-    """b_q qdot = -b_a (psi_dot, theta_dot); pose rates (..., 2) in deg/s."""
-    return _joint_solve(b, -(b[..., 3:] @ np.radians(pose_rates)[..., None]))
-
-
-def _joint_accels(b: np.ndarray, b_dot: np.ndarray, rates, pose_accels) -> np.ndarray:
-    """b_q qddot = -b_dot Qdot - b_a (psi_ddot, theta_ddot); Qdot (..., 5) in
-    radians and mm per second, pose accelerations (..., 2) in deg/s^2."""
-    rhs = -(b_dot @ rates[..., None])
-    rhs -= b[..., 3:] @ np.radians(pose_accels)[..., None]
-    return _joint_solve(b, rhs)
+def _joint_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
+    """Solve b_q x = rhs (3,); x with its angle entries in degrees."""
+    return tuple((np.linalg.solve(b[:, :3], rhs) * _TO_USER).tolist())
 
 
 def signed_measure(joints: SphericalJoints, geometry: SphericalGeometry):
@@ -256,9 +246,7 @@ def jacobians(
     """A and B of the velocity relation at one configuration."""
     check_pose(pose)
     check_joints(joints, geometry)
-    m = module_partials(joints.q1, joints.q2, geometry, 1)
-    r = platform_partials(pose.psi, pose.theta, pose.phi, 1)
-    b = _b_matrix(m, r, joints.q3, geometry)
+    b = _relation(pose, joints, geometry)
     return JacobianPair(a=-np.eye(3), b=b, sigma=signed_measure(joints, geometry))
 
 
@@ -269,9 +257,7 @@ def jacobian_rate(
     rates: InputRates,
 ) -> np.ndarray:
     """Time derivative of B along the current input rates."""
-    m = module_partials(joints.q1, joints.q2, geometry, 2)
-    r = platform_partials(pose.psi, pose.theta, pose.phi, 2)
-    return _b_rate(m, r, joints.q3, geometry, rates.rates_internal())
+    return _relation(pose, joints, geometry, rates.rates_internal().tolist())
 
 
 # --- the type-4 kernel: the velocity relation in the platform frame ---------
@@ -281,25 +267,6 @@ def jacobian_rate(
 # u'' = -W' x u - W x u', with W the platform's angular velocity in its own
 # frame. The joint rates solve [q3 m1, q3 m2, m] q' = u', where m1, m2 are
 # the partials of m in q1 and q2; the accelerations solve the same system.
-# Every vector is a tuple of three (n,) columns over a block of the grid, and
-# the module's vectors are taken in the frame after rot_y(alpha).
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _turn_y(v, c: float, s: float):
-    """rot_y(angle) v, given cos and sin of the angle."""
-    return (c * v[0] + s * v[2], v[1], c * v[2] - s * v[0])
 
 
 def platform_rotation(psi, theta, phi: float):
@@ -357,13 +324,7 @@ def hold_motion(
     ca, sa, cb, sb = geometry.tilts
     q1, q2, q3 = _DEG * joints.q1, _DEG * joints.q2, joints.q3
     c1, s1, c2, s2 = np.cos(q1), np.sin(q1), np.cos(q2), np.sin(q2)
-    # m and its partials in (q1, q2).
-    m = insertion(c1, s1, c2, s2, geometry)
-    m1 = (0.0, -m[2], m[1])
-    m2 = (-c2 * cb, -s1 * s2 * cb, c1 * s2 * cb)
-    m11 = (0.0, -m[1], -m[2])
-    m12 = (0.0, -m2[2], m2[1])
-    m22 = (-m[0], sb * c1 - m[1], sb * s1 - m[2])
+    m, m1, m2, m11, m12, m22 = _insertion_partials(c1, s1, c2, s2, geometry)
     offset = _turn_y(geometry.port.offset, ca, -sa)  # in the frame after rot_y(alpha)
     arm = tuple(o + q3 * c for o, c in zip(offset, m))
     w, w_dot = (_turn_y(v, ca, -sa) for v in spin)
@@ -400,7 +361,7 @@ def compensation_rates(
     with zero tip velocity. Angle rates in deg/s in and out, q3 in mm/s.
     """
     check_nonsingular(pair.sigma)
-    return tuple(_joint_rates(pair.b, np.array([psi_dot, theta_dot])).tolist())
+    return _joint_solve(pair.b, -(pair.b[:, 3:] @ np.radians([psi_dot, theta_dot])))
 
 
 def compensation_accels(
@@ -412,5 +373,6 @@ def compensation_accels(
     b_q qddot = -b_dot Qdot - b_a (psi_ddot, theta_ddot).
     """
     check_nonsingular(pair.sigma)
-    pose_accels = np.array([rates.psi_ddot, rates.theta_ddot])
-    return tuple(_joint_accels(pair.b, b_dot, rates.rates_internal(), pose_accels).tolist())
+    rhs = -(b_dot @ rates.rates_internal())
+    rhs -= pair.b[:, 3:] @ np.radians([rates.psi_ddot, rates.theta_ddot])
+    return _joint_solve(pair.b, rhs)

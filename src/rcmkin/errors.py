@@ -33,7 +33,8 @@ class ProfileRangeError(KinematicsError):
 
 
 class InvalidLimitsError(KinematicsError):
-    """Motion limits or sampling step are not strictly positive."""
+    """Motion limits or sampling step are not strictly positive, or are too
+    large for a plan in floating point."""
 
 
 class ScenarioError(Exception):

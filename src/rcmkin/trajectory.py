@@ -22,22 +22,24 @@ caught at the first sample past it. A type 4 plan holds one IK branch, on
 which cos q2 keeps its sign, so only the |sigma| threshold can fire there.
 The IK wraps q2 into (-180, 180]; on the mirror branch a type 4 plan
 unwraps it by whole turns against the sample before, so q2 stays continuous
-through +/-180 deg and is screened against its travel as it moves. The screens are masks that share
-their comparisons with the checks (``ik_faults``, ``joint_faults``,
-``singular_faults``, ``near_gimbal``). A type 2/3 joint grid exists before
-any kinematics runs, so it is screened once, whole, before any tip is
-computed. A type 4 plan solves IK block by block and screens each block as
-it is solved, with sigma's sign and q2 carried across blocks; a block's
-rates, accelerations and tips are computed only after it passes, so nothing
-from its failing block on is. The earliest flagged sample wins, at equal
-samples the first instrument, and its checks are replayed on its grid
-values inside ``_at_sample``: a rejection raises the error, message and
-sample time that checking sample by sample would.
+through +/-180 deg and is screened against its travel as it moves. The
+screens are masks that share their comparisons with the checks
+(``ik_faults``, ``joint_faults``, ``singular_faults``, ``near_gimbal``). A
+type 2/3 joint grid exists before any kinematics runs, so it is screened
+once, whole, before any tip is computed. A type 4 plan solves IK block by
+block and screens each block as it is solved, with sigma's sign and q2
+carried across blocks; a block's rates, accelerations and tips are computed
+only after it passes, and are screened in turn for values past the float
+range (limits near 1e308 can give them). The earliest flagged sample wins,
+at equal samples the first instrument, and its checks are replayed on its
+grid values inside ``_at_sample``: a rejection raises the error, message
+and sample time that checking sample by sample would.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -166,6 +168,10 @@ def stretch_profile(profile: TrapezoidProfile, t_total: float) -> TrapezoidProfi
     scale = profile.t_total / t_total
     if scale == 1.0:
         return profile
+    if scale < sys.float_info.min:  # 0 or subnormal: the stretch would lose its digits
+        raise InvalidLimitsError(
+            f"a {profile.t_total:.9g} s profile cannot be stretched to {t_total:.9g} s"
+        )
     return TrapezoidProfile(
         profile.delta,
         profile.t_acc / scale,
@@ -193,17 +199,21 @@ def sample_profile(profile: TrapezoidProfile, t):
     accel, peak, t_acc = profile.accel, profile.peak_rate, profile.t_acc
     ramp = t < t_acc
     cruise = ~ramp & (t < t_acc + profile.t_cruise)
-    tail = profile.t_total - t
+    # Each phase's formula sees only its own times (0 elsewhere), so that it
+    # cannot overflow at another phase's times, where its value is not used.
+    head = np.where(ramp, t, 0.0)
+    cruising = np.where(cruise, t - t_acc, 0.0)
+    tail = np.where(ramp | cruise, 0.0, profile.t_total - t)
     s = np.where(
         ramp,
-        0.5 * accel * t * t,
+        0.5 * accel * head * head,
         np.where(
             cruise,
-            0.5 * accel * t_acc * t_acc + peak * (t - t_acc),
+            0.5 * accel * t_acc * t_acc + peak * cruising,
             profile.delta - 0.5 * accel * tail * tail,
         ),
     )
-    v = np.where(ramp, accel * t, np.where(cruise, peak, accel * tail))
+    v = np.where(ramp, accel * head, np.where(cruise, peak, accel * tail))
     a = np.where(ramp, accel, np.where(cruise, 0.0, -accel))
     return s[()], v[()], a[()]
 
@@ -261,7 +271,10 @@ def time_grid(t_total: float, dt: float) -> np.ndarray:
             f"dt = {dt:.6g} s needs more than {MAX_SAMPLES} samples over {t_total:.9g} s"
         )
     steps = max(1, math.ceil(steps))
-    times = t_total * np.arange(steps + 1) / steps
+    # Past 1e300 s, t_total * k could overflow: it is taken at 2**-20 scale,
+    # which is exact, as steps < 2**20.
+    scale = 2.0**20 if t_total > 1e300 else 1.0
+    times = t_total / scale * np.arange(steps + 1) / steps * scale
     times[-1] = t_total
     return times
 
@@ -387,12 +400,18 @@ def plan_type4(
                 check_ik(_row(joints, i), sin_q2[i], tracks[k].geometry)
                 _guard(sigma, i, last_sigma[k])
 
-        spin = platform_spin(theta[block], start.phi, pose_rates[block], pose_accels[block])
-        for k, (track, (joints, _, sigma, _)) in enumerate(zip(tracks, solved)):
+        with np.errstate(over="ignore", invalid="ignore"):  # screened just below
+            spin = platform_spin(theta[block], start.phi, pose_rates[block], pose_accels[block])
+            motions = [hold_motion(rotation, spin, joints, track.geometry, position)
+                       for track, (joints, *_) in zip(tracks, solved)]
+        hit = _first_fault([~np.isfinite(np.hstack(motion[:2])).all(axis=1) for motion in motions])
+        if hit is not None:
+            with _at_sample(times[lo + hit[0]]):
+                raise InvalidLimitsError("joint rates or accelerations exceed the float "
+                                         "range; lower omega_max or eps_max")
+        for k, (track, (joints, _, sigma, _), motion) in enumerate(zip(tracks, solved, motions)):
             track.joints[block] = np.column_stack([joints.q1, joints.q2, joints.q3])
-            track.rates[block], track.accels[block], track.tip[block] = hold_motion(
-                rotation, spin, joints, track.geometry, position
-            )
+            track.rates[block], track.accels[block], track.tip[block] = motion
             track.sing[block] = np.abs(sigma)
             last_sigma[k], last_q2[k] = sigma[-1], joints.q2[-1]
 

@@ -3,10 +3,11 @@
 Right-handed frames, column-vector convention, angles in radians. Matrices
 are plain float64 numpy arrays: (3, 3) for rotations, (4, 4) for rigid
 transforms with the fixed bottom row (0, 0, 0, 1). The builders take one
-angle each; they serve the oracles, the homogeneous-chain FK and the
-queries. ``euler_entries`` writes the X-Y-Z Euler rotation as the
-arithmetic of its direction cosines instead, which runs alike on floats for
-one pose and on arrays for a grid of poses.
+angle each; they serve only the homogeneous-chain FK that the oracle suite
+checks the tip map against (``spherical.fk_tip_fixed_chain``). The queries,
+the planners and the velocity relation read ``euler_entries`` instead, which
+writes the X-Y-Z Euler rotation as the arithmetic of its direction cosines
+and runs alike on floats for one pose and on arrays for a grid of poses.
 """
 
 from __future__ import annotations

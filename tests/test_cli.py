@@ -2,15 +2,17 @@ import contextlib
 import io
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcmkin import cli
+from rcmkin import cli, trajectory
 from rcmkin.csvio import format_number, read_plan_csv
 from rcmkin.platform import PlatformPose
 from rcmkin.spherical import ik_full, left_geometry
@@ -293,6 +295,89 @@ def test_query_on_arbitrary_floats_never_raises(command, pose, point, alpha, bet
         assert len(out.getvalue().strip().split(",")) == 3
     else:
         assert _single_error_line(err.getvalue())
+
+
+# A valid type-2 scenario whose profile once overflowed in sampling: three
+# numpy warnings and exit 0, or a traceback under warnings-as-errors.
+HUGE_ACCEL_SCENARIO = """motion = type2
+pose = 0 0 -500 0 0 0
+dt = 0.01
+eps_max = 1e308
+instrument = left
+start_joints = 0 0 100
+target_q3 = 150
+"""
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LIMIT = st.one_of(
+    st.floats(0.5, 50.0),
+    st.floats(min_value=0.0, max_value=1.7976931348623157e308),  # subnormals included
+    st.sampled_from([5e-324, 1e-308, 1e-300, 1e300, 1e308, 1.7976931348623157e308]),
+    _FINITE,
+)
+
+
+def _point(typical, *ranges):
+    """The typical values, ordinary ones within the ranges, or any finite
+    floats, as the scenario's space-separated numbers."""
+    return st.one_of(
+        st.just(typical),
+        st.tuples(*(st.floats(lo, hi) for lo, hi in ranges)),
+        st.tuples(*(_FINITE for _ in ranges)),
+    ).map(lambda values: " ".join(repr(v) for v in values))
+
+
+@st.composite
+def _run_scenarios(draw):
+    motion = draw(st.sampled_from(["type2", "type3", "type4"]))
+    pose = draw(_point((15.0, 20.0, -500.0, -15.0, 10.0, -60.0), (-100, 100), (-100, 100),
+                       (-700, -300), (-60, 60), (-60, 60), (-180, 180)))
+    dt = draw(st.one_of(st.floats(1e-3, 0.5), _LIMIT))
+    lines = [f"motion = {motion}", f"pose = {pose}", f"dt = {dt!r}",
+             f"omega_max = {draw(_LIMIT)!r}", f"eps_max = {draw(_LIMIT)!r}"]
+    if motion == "type4":
+        tip = draw(_point((50.0, -50.0, -620.0), (-100, 100), (-100, 100), (-800, -500)))
+        lines.append(f"tip_left = {tip}")
+        lines.append(f"delta_psi = {draw(_point((15.0,), (-40, 40)))}")
+        lines.append(f"delta_theta = {draw(_point((25.0,), (-40, 40)))}")
+    else:
+        lines.append(f"instrument = {draw(st.sampled_from(['left', 'right']))}")
+        joints = ((-80, 80), (-80, 80), (0, 300))
+        lines.append(f"start_joints = {draw(_point((0.0, 10.0, 150.0), *joints))}")
+        if motion == "type2":
+            lines.append(f"target_q3 = {draw(_point((200.0,), (0, 300)))}")
+        else:
+            lines.append(f"target_joints = {draw(_point((25.0, -15.0, 200.0), *joints))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_run_scenarios())
+@example(scenario=HUGE_ACCEL_SCENARIO)
+# Found by this test: a type-4 joint acceleration past the float range, a
+# grid time t_total * k that overflowed, and a stretch ratio that underflowed
+# to 0 (a ZeroDivisionError traceback).
+@example(scenario="motion = type4\npose = 0 0 -500 0 0 0\neps_max = 1e308\n"
+                  "tip_left = 50 -50 -620\ndelta_theta = 25\n")
+@example(scenario="motion = type4\npose = 15 20 -500 -15 10 -60\ndt = 2e303\n"
+                  "tip_left = 50 -50 -620\ndelta_psi = 15\ndelta_theta = 2.7e306\n")
+@example(scenario="motion = type4\npose = 15 20 -500 -15 10 -60\ndt = 3e188\n"
+                  "tip_left = 50 -50 -620\ndelta_psi = 3e-265\ndelta_theta = 4e191\n")
+def test_run_on_arbitrary_scenarios_keeps_its_contract(scenario):
+    # Exit 0 with nothing on stderr, or exit 1-3 with one error line; never a
+    # warning or a traceback. MAX_SAMPLES bounds each plan, so a long one is
+    # rejected before anything is allocated.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.object(trajectory, "MAX_SAMPLES", 1500):
+        warnings.simplefilter("error")
+        path = Path(tmp, "drawn.cfg")
+        path.write_text(scenario)
+        code, _, err = _main(["run", str(path), "--out", str(Path(tmp, "plan.csv")), "--quiet"])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert _single_error_line(err)
 
 
 def test_usage_error_exits_1(capsys):

@@ -47,6 +47,7 @@ from rcmkin import (
 from rcmkin import trajectory
 from rcmkin.differential import check_nonsingular, check_same_sign, signed_measure
 from rcmkin.trajectory import _BLOCK, time_grid
+from rcmkin.validation import finite_difference_b
 
 LIMITS = ProfileLimits(10.0, 5.0)
 DEMO_POSE = PlatformPose(15.0, 20.0, -500.0, -15.0, 10.0, -60.0)
@@ -169,11 +170,12 @@ def test_multi_block_type3_plan_matches_fk_and_signed_measure():
         _assert_close(tip, fk_tip_fixed(DEMO_POSE, SphericalJoints(*row), g))
 
 
-def test_type4_plan_builds_no_rotation_stack_and_runs_no_solver(monkeypatch):
-    # Both planners, each over more than one block: no rotation matrix is
-    # built and no linear system solved on any sample.
+def test_planners_and_jacobians_build_no_rotation_matrix(monkeypatch):
+    # Both planners, each over more than one block, and the velocity relation
+    # B and B-dot: no rotation matrix is built, and no planner solves a
+    # linear system on any sample.
     def forbidden(*args, **kwargs):
-        raise AssertionError("called by a planner")
+        raise AssertionError("a rotation builder or a solver was called")
 
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     for module in [m for name, m in sys.modules.items() if name.startswith("rcmkin")]:
@@ -188,6 +190,41 @@ def test_type4_plan_builds_no_rotation_stack_and_runs_no_solver(monkeypatch):
     start, target = SphericalJoints(0.0, 10.0, 150.0), SphericalJoints(25.0, -15.0, 200.0)
     plan = plan_type3_manipulate(DEMO_POSE, start, target, left, LIMITS, 0.004)
     assert plan.samples > _BLOCK
+    joints = SphericalJoints(10.0, -20.0, 150.0)
+    assert jacobians(DEMO_POSE, joints, left).b.shape == (3, 5)
+    rates = InputRates(1.0, 2.0, 3.0, 4.0, 5.0)
+    assert jacobian_rate(DEMO_POSE, joints, left, rates).shape == (3, 5)
+
+
+# Relative to the largest entry: the finite-difference B carries about 1e-8
+# of rounding noise, and the time differences about 4e-6 (measured).
+RATE_TOL = 1e-7
+ACCEL_TOL = 1e-4
+
+
+def test_multi_block_type4_plan_matches_finite_differences_of_the_tip_map():
+    # The planner and B share the partials of the insertion direction, so a
+    # wrong partial could hide from a comparison with B. Here B is the central
+    # difference of the tip map: the rates solve its joint block, and the
+    # accelerations are central differences in time of those rates, taken
+    # where the platform's acceleration is constant over the stencil.
+    left = left_geometry()
+    instruments = [(left, LEFT_TIP), (mirrored(left), RIGHT_TIP)]
+    dt = 0.004
+    plan = plan_type4(DEMO_POSE, 15.0, 25.0, LIMITS, dt, instruments)
+    assert plan.samples > _BLOCK
+    poses = [PlatformPose(*row) for row in plan.pose_grid]
+    smooth = (plan.pose_accels[:-2] == plan.pose_accels[2:]).all(axis=1)
+    for track in plan.instruments:
+        rates = []
+        for pose, row, pose_rates in zip(poses, track.joints, np.radians(plan.pose_rates)):
+            b = finite_difference_b(pose, SphericalJoints(*row), track.geometry)
+            rates.append(np.linalg.solve(b[:, :3], -b[:, 3:] @ pose_rates))
+        rates = np.array(rates) * [180.0 / np.pi, 180.0 / np.pi, 1.0]
+        assert np.abs(rates - track.rates).max() <= RATE_TOL * np.abs(track.rates).max()
+        accels = (rates[2:] - rates[:-2])[smooth] / (2.0 * dt)
+        scale = np.abs(track.accels).max()
+        assert np.abs(accels - track.accels[1:-1][smooth]).max() <= ACCEL_TOL * scale
 
 
 def _assert_same_rejection(planned, reference, expected_type):

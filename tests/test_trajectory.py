@@ -23,6 +23,7 @@ from rcmkin import (
     sample_profile,
     stretch_profile,
 )
+from rcmkin.trajectory import time_grid
 
 
 def test_profile_trapezoid_case(demo_limits):
@@ -77,6 +78,40 @@ def test_sample_profile_out_of_range(demo_limits):
         sample_profile(p, -0.1)
     with pytest.raises(ProfileRangeError):
         sample_profile(p, p.t_total + 0.1)
+
+
+@pytest.mark.parametrize(
+    "delta, limits, dt",
+    [
+        # t_acc is about 1e-307 s: the ramp's accel * t * t at later times.
+        (50.0, ProfileLimits(10.0, 1e308), 0.01),
+        # The cruise's peak * (t - t_acc) at t_total is about -delta.
+        (-1.7976931348623157e308, ProfileLimits(97.5, 62.25), 1e308),
+    ],
+)
+def test_sample_profile_stays_finite_near_the_float_range(delta, limits, dt):
+    # A phase's formula evaluated at another phase's times once overflowed
+    # (a warning, an error under -W error) before its value was discarded.
+    p = plan_profile(delta, limits)
+    s, v, a = sample_profile(p, time_grid(p.t_total, dt))
+    assert np.isfinite(s).all() and np.isfinite(v).all()
+    assert s[-1] == delta and v[-1] == 0.0
+    assert a[0] == -a[-1] == math.copysign(p.accel, delta)
+
+
+def test_time_grid_of_a_duration_near_the_float_range():
+    # t_total * k once overflowed for k = 2; the grid is taken at a
+    # power-of-two scale there, which leaves its values exact.
+    times = time_grid(1.7e308, 1e308)
+    assert times.tolist() == [0.0, 0.85e308, 1.7e308]
+
+
+def test_stretching_past_the_float_range_is_rejected():
+    # The time ratio 2e-150 / 1e200 underflows to 0; dividing by it raised
+    # ZeroDivisionError.
+    p = plan_profile(1e-300, ProfileLimits(1.0, 1.0))
+    with pytest.raises(InvalidLimitsError, match="cannot be stretched"):
+        stretch_profile(p, 1e200)
 
 
 def test_profile_velocity_integrates_to_delta(demo_limits):
@@ -241,6 +276,17 @@ def test_rejection_leaves_no_reference_cycle(demo_pose, demo_limits, motion, err
         gc.enable()
     assert sample_time is not None
     assert unreachable == 0
+
+
+def test_type4_rejects_joint_accelerations_past_the_float_range(
+    demo_pose, demo_geometry, demo_tip
+):
+    # The platform decelerates at 1e308 deg/s^2 on the last sample; the joint
+    # accelerations holding the tip would overflow to inf.
+    with pytest.raises(InvalidLimitsError, match="exceed the float range") as error:
+        plan_type4(demo_pose, 15.0, 25.0, ProfileLimits(10.0, 1e308), 0.01,
+                   [(demo_geometry, demo_tip)])
+    assert error.value.sample_time == 2.5
 
 
 @pytest.mark.parametrize(
