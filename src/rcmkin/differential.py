@@ -10,11 +10,14 @@ happens only at this module's public boundaries.
 
 The partials of the insertion direction m in (q1, q2) are written once,
 elementwise (``_insertion_partials``), and both bodies of the relation read
-them. ``_relation`` writes B and B-dot as cross products with the rotation
-axes over R's entries (``euler_entries``); ``jacobians``, ``jacobian_rate``
-and ``compensation_*`` evaluate them on one configuration. They are the
-paper's public velocity relation, and the tests check the planners against
-them; the compensation solves stay general 3x3 solves.
+them. ``_relation`` is the one body of B and B-dot: cross products with the
+rotation axes over R's entries (``euler_entries``) and the cosines and sines
+its caller takes, as ``spherical.insertion`` and ``solve_ik`` do. Floats give
+one configuration and (n,) columns n of them. ``jacobians`` and
+``jacobian_rate`` evaluate it on one configuration by the math module; the
+oracle suite (``validation``) evaluates it once on its drawn columns. They
+are the paper's public velocity relation, the tests check the planners
+against them, and ``compensation_*`` stay general 3x3 solves over them.
 
 The reorientation planner does not build B. Premultiplying the relation by
 R^T leaves every term in the platform frame as a few (n,) columns over a
@@ -146,10 +149,13 @@ def _insertion_partials(c1, s1, c2, s2, geometry: SphericalGeometry):
     )
 
 
-def _relation(pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGeometry,
+def _relation(r, c1, s1, c2, s2, cps, sps, q3, geometry: SphericalGeometry,
               rates=None) -> np.ndarray:
     """B (3, 5) over (q1, q2, q3, psi, theta) in radians and mm or, given the
-    input rates (five floats, radians and mm per second), B-dot.
+    five input rates (radians and mm per second), B-dot, from R's entries
+    ``r`` (``euler_entries``), the cosines and sines of q1, q2 and psi, and
+    q3 (mm). Floats give one configuration; (...) columns, with a geometry
+    whose ``tilts`` and ``port.offset`` may be columns too, give (3, 5, ...).
 
     With A = rot_y(alpha) and the arm u = R (offset + q3 A m), B's columns
     are R A (q3 m1), R A (q3 m2), R A m, e_x x u and e x u, where
@@ -160,12 +166,7 @@ def _relation(pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGe
     e' = psi' (0, -sin psi, cos psi).
     """
     ca, sa, _, _ = geometry.tilts
-    q1, q2, q3 = _DEG * joints.q1, _DEG * joints.q2, joints.q3
-    m, m1, m2, m11, m12, m22 = _insertion_partials(
-        math.cos(q1), math.sin(q1), math.cos(q2), math.sin(q2), geometry
-    )
-    r = pose.rotation_entries
-    cps, sps = math.cos(_DEG * pose.psi), math.sin(_DEG * pose.psi)
+    m, m1, m2, m11, m12, m22 = _insertion_partials(c1, s1, c2, s2, geometry)
     e_x, e = (1.0, 0.0, 0.0), (0.0, cps, sps)
 
     def fixed(v):  # R A v
@@ -174,7 +175,7 @@ def _relation(pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGe
     joint = [fixed(_mix((q3, m1))), fixed(_mix((q3, m2))), fixed(m)]
     arm = _mix((1.0, _rotate(r, geometry.port.offset)), (q3, joint[2]))
     if rates is None:
-        return np.array(joint + [_cross(e_x, arm), _cross(e, arm)]).T
+        return np.array(joint + [_cross(e_x, arm), _cross(e, arm)]).swapaxes(0, 1)
     w1, w2, v3, w_psi, w_theta = rates
     w = (w_psi, w_theta * cps, w_theta * sps)
     inner = (
@@ -187,7 +188,15 @@ def _relation(pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGe
     return np.array(
         [_mix((1.0, _cross(w, j)), (1.0, fixed(d))) for j, d in zip(joint, inner)]
         + [_cross(e_x, arm_dot), _mix((1.0, _cross(e_dot, arm)), (1.0, _cross(e, arm_dot)))]
-    ).T
+    ).swapaxes(0, 1)
+
+
+def _configuration(pose: PlatformPose, joints: SphericalJoints) -> tuple:
+    """``_relation``'s configuration arguments for one pose and joint set,
+    by the math module, so that no numpy call runs per float."""
+    q1, q2, psi = _DEG * joints.q1, _DEG * joints.q2, _DEG * pose.psi
+    return (pose.rotation_entries, math.cos(q1), math.sin(q1), math.cos(q2), math.sin(q2),
+            math.cos(psi), math.sin(psi), joints.q3)
 
 
 def _joint_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
@@ -246,7 +255,7 @@ def jacobians(
     """A and B of the velocity relation at one configuration."""
     check_pose(pose)
     check_joints(joints, geometry)
-    b = _relation(pose, joints, geometry)
+    b = _relation(*_configuration(pose, joints), geometry)
     return JacobianPair(a=-np.eye(3), b=b, sigma=signed_measure(joints, geometry))
 
 
@@ -257,7 +266,7 @@ def jacobian_rate(
     rates: InputRates,
 ) -> np.ndarray:
     """Time derivative of B along the current input rates."""
-    return _relation(pose, joints, geometry, rates.rates_internal().tolist())
+    return _relation(*_configuration(pose, joints), geometry, rates.rates_internal().tolist())
 
 
 # --- the type-4 kernel: the velocity relation in the platform frame ---------

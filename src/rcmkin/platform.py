@@ -23,6 +23,11 @@ GIMBAL_MARGIN_DEG = 1e-3
 #: Default half-spacing of the instrument ports on the platform X' axis (mm).
 DEFAULT_PORT_SPACING = 10.0
 
+#: Bound (mm) on the magnitude of every length the tip map adds up: tip and
+#: platform coordinates, port offsets and the insertion stroke. Below it no
+#: step of the tip map or the IK can overflow.
+MAX_COORDINATE = 1e300
+
 
 class PortSide(Enum):
     LEFT = "left"
@@ -38,8 +43,10 @@ class RcmPort:
 
     def __post_init__(self):
         object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
-        if not all(math.isfinite(v) for v in self.offset):
-            raise ValueError("port offset must be finite")
+        if not all(abs(v) < MAX_COORDINATE for v in self.offset):
+            raise ValueError(
+                f"port offset must be finite and below {MAX_COORDINATE:g} mm in magnitude"
+            )
 
     @property
     def offset_vec(self) -> np.ndarray:

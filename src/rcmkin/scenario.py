@@ -306,9 +306,17 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file."""
-    path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), source=str(path))
+    """Load and validate a scenario file; a file that is not UTF-8 raises
+    ScenarioParseError naming the line and byte offset of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioParseError(
+            f"{path}:{line}: not UTF-8 text (byte offset {exc.start})", line
+        ) from None
+    return parse_scenario(text, source=str(path))
 
 
 def bundled_scenario(name: str) -> Scenario:

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import DegenerateInputError, JointLimitError, UnreachableError
 from .platform import (
     DEFAULT_PORT_SPACING,
+    MAX_COORDINATE,
     PlatformPose,
     PortSide,
     RcmPort,
@@ -56,10 +57,6 @@ MIN_TIP_NORM = 1e-9
 
 #: Degrees per radian, as math.degrees and np.degrees multiply by it.
 _TO_DEG = 180.0 / math.pi
-
-#: Bound (mm) on the magnitude of tip and platform coordinates given to
-#: ``ik_full`` or ``plan_type4``; below it no step of the IK can overflow.
-MAX_COORDINATE = 1e300
 
 
 class IkBranch(Enum):
@@ -101,6 +98,8 @@ class SphericalGeometry:
             raise ValueError("q3_min must be non-negative")
         if not self.q3_max > self.q3_min:
             raise ValueError("q3_max must exceed q3_min")
+        if not self.q3_max < MAX_COORDINATE:
+            raise ValueError(f"q3_max must be below {MAX_COORDINATE:g} mm")
         if not (self.q1_limit > 0.0 and self.q2_limit > 0.0):
             raise ValueError("joint travel limits must be positive")
 
@@ -249,6 +248,7 @@ def fk_tip_fixed(
 ) -> np.ndarray:
     """Instrument tip in the fixed frame (scalar direction-cosine expansion)."""
     check_pose(pose)
+    check_coordinates(pose.position)
     check_joints(joints, geometry)
     q1, q2 = math.radians(joints.q1), math.radians(joints.q2)
     m = insertion(math.cos(q1), math.sin(q1), math.cos(q2), math.sin(q2), geometry)

@@ -2,9 +2,10 @@
 
 Each check pits an implementation against an algorithmically independent
 route on seeded random inputs, and reports the worst observed error against
-a fixed tolerance. Six checks draw their n configurations as (n,) columns,
-one generator call per field (``_draw``), and run both routes on the columns
-at once:
+a fixed tolerance. Every check draws its n configurations as (n,) columns,
+one generator call per field (``_draw``), and runs both routes on the
+columns at once, except that dual-path-fk runs its second route once per
+configuration:
 
 - euler-quaternion: ``transforms.euler_entries`` against the rotation
   rebuilt by quaternion composition (``euler_quaternion_oracle``);
@@ -15,17 +16,19 @@ at once:
 - fk-ik-roundtrip: ``tip_position``, ``tip_vector`` and ``solve_ik`` on
   ``IK_GRID`` return the sampled tip; a sample ``ik_faults`` rejects, or a
   branch flip, reads inf;
-- jacobian-fd: the analytic B (``differential.jacobians``) against central
-  finite differences of the column tip map;
+- jacobian-fd: the analytic B (``differential._relation``, the body of
+  ``jacobians``) against central finite differences of the column tip map;
+- jacobian-rate-fd: the analytic B-dot (the body of ``jacobian_rate``)
+  against central differences of the column B along each configuration's
+  drawn input rates;
 - numeric-ik: the closed-form IK against a batched Gauss-Newton root of the
   column tip residual.
 
 Each configuration keeps its own random geometry: the column bodies read it
 through ``_Geometries``, which holds only what they read (``tilts``,
-``port.offset`` and ``travel``) as (n,) columns. The homogeneous chain and
-the analytic B and B-dot take objects, so they still run per configuration,
-as does the whole of jacobian-rate-fd (B-dot against central differences of
-B). No check calls the scalar queries ``fk_tip_fixed`` or ``ik_full``.
+``port.offset`` and ``travel``) as (n,) columns. Only the homogeneous chain
+takes objects, so it alone runs per configuration. No check calls the scalar
+queries ``fk_tip_fixed``, ``ik_full``, ``jacobians`` or ``jacobian_rate``.
 """
 
 from __future__ import annotations
@@ -288,16 +291,22 @@ def check_fk_ik_roundtrip(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleRes
     return OracleResult("fk-ik-roundtrip", worst, 1e-9, n)
 
 
-def _shifted(
-    pose: PlatformPose, joints: SphericalJoints, d: np.ndarray
-) -> tuple[PlatformPose, SphericalJoints]:
-    """Pose and joints moved by d over (q1, q2, q3, psi, theta), radians and mm."""
-    dq1, dq2, dq3, dpsi, dtheta = d.tolist()  # plain floats: fast scalar B
-    dq1, dq2, dpsi, dtheta = map(math.degrees, (dq1, dq2, dpsi, dtheta))
-    return (
-        PlatformPose(pose.x, pose.y, pose.z, pose.psi + dpsi, pose.theta + dtheta, pose.phi),
-        SphericalJoints(joints.q1 + dq1, joints.q2 + dq2, joints.q3 + dq3),
-    )
+def _rows(pose: PlatformPose, joints: SphericalJoints) -> tuple[np.ndarray, np.ndarray]:
+    """Pose rows (6,) and joint rows (3,) of one configuration."""
+    rows = [pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi]
+    return np.array(rows), np.array([joints.q1, joints.q2, joints.q3])
+
+
+def _b(pose: np.ndarray, joints: np.ndarray, geometry, rates=None) -> np.ndarray:
+    """The analytic B (``differential._relation``), rows (3, 5, ...), at pose
+    rows (6, ...) and joint rows (3, ...) for a geometry or its column
+    stand-in; given input rate rows (5, ...) in radians and mm per second,
+    B-dot."""
+    angles = np.radians(np.concatenate([pose[3:], joints[:2]]))  # psi theta phi q1 q2
+    c, s = np.cos(angles), np.sin(angles)
+    r = euler_entries(c[0], s[0], c[1], s[1], c[2], s[2])
+    return differential._relation(r, c[3], s[3], c[4], s[4], c[0], s[0], joints[2], geometry,
+                                  rates)
 
 
 def _finite_difference_b(pose, joints, geometry, step: float = 1e-6) -> np.ndarray:
@@ -321,9 +330,24 @@ def finite_difference_b(
     step: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference B over (q1, q2, q3, psi, theta), radians and mm."""
-    rows = [pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi]
-    return _finite_difference_b(np.array(rows), np.array([joints.q1, joints.q2, joints.q3]),
-                                geometry, step)
+    return _finite_difference_b(*_rows(pose, joints), geometry, step)
+
+
+def _finite_difference_b_rate(pose, joints, geometry, rates, step: float = 1e-5) -> np.ndarray:
+    """Central-difference B-dot (3, 5, ...) along input rate rows (5, ...) in
+    radians and mm per second: the analytic B at pose rows (6, ...) and joint
+    rows (3, ...) moved by +h and -h times the rates, radians as degrees.
+    Each configuration's h is scaled so its largest perturbed input moves by
+    ``step``; a configuration at rest gets zeros."""
+    scale = np.abs(rates).max(axis=0)
+    h = step / np.maximum(scale, 1e-15)
+    d = h * rates
+    shift = np.zeros((9,) + d.shape[1:])  # x, y, z, psi, theta, phi, q1, q2, q3
+    shift[[6, 7, 3, 4]] = np.degrees(d[[0, 1, 3, 4]])
+    shift[8] = d[2]
+    moved = np.concatenate([pose, joints])[:, None] + np.stack([shift, -shift], axis=1)
+    b = _b(moved[:6], moved[6:], geometry)
+    return np.where(scale < 1e-15, 0.0, (b[:, :, 0] - b[:, :, 1]) / (2.0 * h))
 
 
 def finite_difference_b_rate(
@@ -335,41 +359,33 @@ def finite_difference_b_rate(
 ) -> np.ndarray:
     """Central-difference time derivative of B along the input rates; the
     step is scaled so the largest perturbed input moves by ``step``."""
-    qdot = rates.rates_internal()
-    scale = float(np.abs(qdot).max())
-    if scale < 1e-15:
-        return np.zeros((3, 5))
-    h = step / scale
+    return _finite_difference_b_rate(*_rows(pose, joints), geometry, rates.rates_internal(),
+                                     step)
 
-    def b_at(d: np.ndarray) -> np.ndarray:
-        return differential.jacobians(*_shifted(pose, joints, d), geometry).b
 
-    return (b_at(h * qdot) - b_at(-h * qdot)) / (2.0 * h)
+def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """The largest entrywise |analytic - numeric| / max(1, |analytic|)."""
+    return _largest(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic)))
 
 
 def check_jacobian_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
     """Analytic B against central finite differences of the tip map."""
     rng = np.random.default_rng(seed + 4)
     poses, shapes, joints = _draw_configurations(rng, n)
-    configs = _objects(poses, shapes, joints)
-    analytic = np.reshape([differential.jacobians(*c).b for c in configs], (n, 3, 5))
-    numeric = np.moveaxis(_finite_difference_b(poses, joints, _Geometries(*shapes)), -1, 0)
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return OracleResult("jacobian-fd", _largest(rel), 1e-6, n)
+    g = _Geometries(*shapes)
+    worst = _relative_error(_b(poses, joints, g), _finite_difference_b(poses, joints, g))
+    return OracleResult("jacobian-fd", worst, 1e-6, n)
 
 
 def check_jacobian_rate_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
-    """Analytic B-dot against central finite differences of B."""
+    """Analytic B-dot against central finite differences of B along each
+    configuration's input rates."""
     rng = np.random.default_rng(seed + 6)
-    worst = 0.0
-    for _ in range(n):
-        pose, g = _random_pose(rng), _random_geometry(rng)
-        joints = _random_joints(rng)
-        rates = InputRates(*rng.uniform(-20, 20, 5))
-        analytic = differential.jacobian_rate(pose, joints, g, rates)
-        numeric = finite_difference_b_rate(pose, joints, g, rates)
-        rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-        worst = _worse(worst, float(rel.max()))
+    poses, shapes, joints = _draw_configurations(rng, n)
+    rates = differential._TO_INTERNAL[:, None] * _draw(rng, ((-20, 20),) * 5, n)
+    g = _Geometries(*shapes)
+    worst = _relative_error(_b(poses, joints, g, rates),
+                            _finite_difference_b_rate(poses, joints, g, rates))
     return OracleResult("jacobian-rate-fd", worst, 1e-6, n)
 
 

@@ -83,6 +83,22 @@ def test_run_missing_scenario_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "data, line, offset",
+    [(b"motion = type2\xff\n", 1, 14),
+     (b"motion = type4\r\npose = 0 0 -500 0 0 0 # \xe9t\xe9\n", 2, 40)],
+    ids=["first-line", "crlf-second-line"],
+)
+def test_run_scenario_that_is_not_utf8_exits_1(tmp_path, capsys, data, line, offset):
+    scenario, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
+    scenario.write_bytes(data)
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert _single_error_line(captured.err)
+    assert f"{scenario}:{line}:" in captured.err and f"byte offset {offset}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_run_invalid_scenario_exits_1(tmp_path, capsys):
     scenario = tmp_path / "invalid.cfg"
     scenario.write_text("motion = type4\npose = 0 0 -500 0 0 0\n"
@@ -235,6 +251,26 @@ def test_a_duration_that_overflows_is_config_error(argv, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # Both out of range: the geometry is built, and rejected, first.
+        (["fk", "--pose=-1.5e308,0,-500,0,0,0", "--port-spacing=1e308", "--joints=0,0,100"], 1),
+        (["fk", "--pose=-1.5e308,0,-500,0,0,0", "--joints=0,0,100"], 2),
+        (["fk", "--pose=0,0,-500,0,0,0", "--port-spacing=1e300", "--joints=0,0,100"], 1),
+    ],
+)
+def test_fk_rejects_lengths_that_could_overflow(argv, code, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == code
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)
+    assert "1e+300 mm" in captured.err
+
+
 def test_ik_far_tip_reports_its_finite_distance(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -250,7 +286,9 @@ def test_ik_far_tip_reports_its_finite_distance(capsys):
 @pytest.mark.parametrize(
     "coordinates",
     ["pose = -1e308 0 -500 0 0 0\ntip_left = 1.7e308 1.7e308 0",
-     "pose = 0 0 -500 0 0 0\ntip_left = 1e300 0 0"],
+     "pose = 0 0 -500 0 0 0\ntip_left = 1e300 0 0",
+     "pose = 0 0 -500 0 0 0\ntip_left = 50 -50 -620\nport_spacing = 1e300",
+     "pose = 0 0 -500 0 0 0\ntip_left = 50 -50 -620\nq3_max = 1e300"],
 )
 def test_run_rejects_coordinates_that_could_overflow(tmp_path, capsys, coordinates):
     scenario = tmp_path / "far.cfg"
@@ -282,17 +320,21 @@ def _floats(count):
     point=_floats(3),
     alpha=_ANY_FLOAT,
     beta=_ANY_FLOAT,
+    spacing=_ANY_FLOAT,
 )
-def test_query_on_arbitrary_floats_never_raises(command, pose, point, alpha, beta):
+@example(command="fk", pose="-1.5e308,0.0,-500.0,0.0,0.0,0.0", point="0.0,0.0,100.0",
+         alpha=10.0, beta=10.0, spacing=1e308)
+def test_query_on_arbitrary_floats_never_raises(command, pose, point, alpha, beta, spacing):
     point_flag = "--joints" if command == "fk" else "--tip"
     argv = [command, f"--pose={pose}", f"{point_flag}={point}",
-            f"--alpha={alpha!r}", f"--beta={beta!r}"]
+            f"--alpha={alpha!r}", f"--beta={beta!r}", f"--port-spacing={spacing!r}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     if code == 0:
-        assert len(out.getvalue().strip().split(",")) == 3
+        values = [float(v) for v in out.getvalue().strip().split(",")]
+        assert len(values) == 3 and all(np.isfinite(values))
     else:
         assert _single_error_line(err.getvalue())
 

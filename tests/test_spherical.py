@@ -348,6 +348,22 @@ def test_geometry_validation():
         left_geometry(q3_min=10.0, q3_max=5.0)
 
 
+def test_geometry_bounds_the_lengths_of_the_tip_map():
+    # Port offsets and the stroke below MAX_COORDINATE, with a platform
+    # position below it too, keep every tip finite.
+    for overrides in ({"port_spacing": 1e300}, {"port_spacing": -math.inf},
+                      {"q3_max": 1e300}, {"q3_max": math.inf}):
+        with pytest.raises(ValueError):
+            left_geometry(**overrides)
+    big = 0.999e300
+    g = left_geometry(port_spacing=big, q3_max=big)
+    pose = PlatformPose(-big, big, big, 45.0, 45.0, 45.0)
+    for joints in (SphericalJoints(0.0, 0.0, big), SphericalJoints(-60.0, 60.0, big)):
+        assert np.isfinite(fk_tip_fixed(pose, joints, g)).all()
+    with pytest.raises(UnreachableError):
+        fk_tip_fixed(PlatformPose(1e300, 0.0, 0.0, 0.0, 0.0, 0.0), SphericalJoints(0, 0, 1), g)
+
+
 @pytest.mark.parametrize("field", ["radius", "q3_min", "q3_max", "q1_limit", "q2_limit"])
 def test_geometry_rejects_nan(field):
     with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from rcmkin.spherical import (
     fk_tip_fixed,
     ik_full,
     left_geometry,
+    right_geometry,
     solve_ik,
     tip_vector,
 )
@@ -38,18 +39,31 @@ def test_all_oracles_pass_reduced_counts():
         assert result.passed, result.line()
 
 
+def _corrupt_relation(monkeypatch):
+    """Move entry (0, 0) of every B and B-dot the column body
+    (``differential._relation``) returns by +1e-3."""
+    true_relation = differential._relation
+
+    def corrupted(*args):
+        b = true_relation(*args)
+        b[0, 0] += 1e-3
+        return b
+
+    monkeypatch.setattr(differential, "_relation", corrupted)
+
+
 def test_jacobian_oracle_detects_injected_fault(monkeypatch):
     # A 1e-3 perturbation of one Jacobian term must trip the oracle.
-    true_jacobians = differential.jacobians
-
-    def corrupted(pose, joints, geometry):
-        pair = true_jacobians(pose, joints, geometry)
-        b = pair.b.copy()
-        b[0, 0] += 1e-3
-        return replace(pair, b=b)
-
-    monkeypatch.setattr(differential, "jacobians", corrupted)
+    _corrupt_relation(monkeypatch)
     result = validation.check_jacobian_fd(n=20)
+    assert not result.passed
+
+
+def test_jacobian_rate_oracle_detects_injected_fault(monkeypatch):
+    # The perturbation cancels in the central difference of B, so it stays
+    # on the analytic B-dot alone, and must trip the oracle.
+    _corrupt_relation(monkeypatch)
+    result = validation.check_jacobian_rate_fd(n=20)
     assert not result.passed
 
 
@@ -145,16 +159,16 @@ def _nan_at_configuration_0(columns):
 
 
 # check -> (module, name of the recomputation it calls, NaN version of its
-# result, whether it is called once per configuration or once on columns)
+# result, its calls in a check of 5 configurations: 5 for a recomputation
+# called once per configuration, 1 for one called on columns; jacobian-rate-fd
+# calls the column body twice, for B-dot and for the differenced B)
 _NAN_CASES = {
-    "check_euler_quaternion": (validation, "euler_quaternion_oracle", _nan_at_configuration_0,
-                               False),
-    "check_euler_roundtrip": (validation, "_euler_xyz_angles", _nan_at_configuration_0, False),
-    "check_dual_path_fk": (validation, "fk_tip_fixed_chain", lambda r: r * math.nan, True),
-    "check_jacobian_fd": (differential, "jacobians", lambda r: replace(r, b=r.b * math.nan),
-                          True),
-    "check_jacobian_rate_fd": (differential, "jacobian_rate", lambda r: r * math.nan, True),
-    "check_numeric_ik": (validation, "_gauss_newton", _nan_at_configuration_0, False),
+    "check_euler_quaternion": (validation, "euler_quaternion_oracle", _nan_at_configuration_0, 1),
+    "check_euler_roundtrip": (validation, "_euler_xyz_angles", _nan_at_configuration_0, 1),
+    "check_dual_path_fk": (validation, "fk_tip_fixed_chain", lambda r: r * math.nan, 5),
+    "check_jacobian_fd": (differential, "_relation", _nan_at_configuration_0, 1),
+    "check_jacobian_rate_fd": (differential, "_relation", _nan_at_configuration_0, 2),
+    "check_numeric_ik": (validation, "_gauss_newton", _nan_at_configuration_0, 1),
 }
 
 
@@ -162,7 +176,7 @@ _NAN_CASES = {
 def test_oracle_fails_on_a_nan_error(monkeypatch, check):
     # Only configuration 0's recomputation is NaN: the finite errors of the
     # others must not wash it out of the reduction (max(0.0, nan) is 0.0).
-    module, name, poison, per_configuration = _NAN_CASES[check]
+    module, name, poison, expected_calls = _NAN_CASES[check]
     original, calls = getattr(module, name), []
 
     def first_poisoned(*args):
@@ -172,7 +186,7 @@ def test_oracle_fails_on_a_nan_error(monkeypatch, check):
 
     monkeypatch.setattr(module, name, first_poisoned)
     result = getattr(validation, check)(n=5)
-    assert len(calls) == (5 if per_configuration else 1)
+    assert len(calls) == expected_calls
     assert result.passed is False
     assert math.isnan(result.max_err)
 
@@ -219,33 +233,36 @@ def test_scalar_draws_keep_their_values_and_stream_order():
 
 
 def test_column_checks_call_no_scalar_query_or_rotation_builder(monkeypatch):
-    # Four checks run both their routes on columns: no scalar FK or IK query,
-    # Euler matrix or rotation builder is called for any configuration.
+    # Six checks run both their routes on columns: no scalar FK, IK or
+    # Jacobian query, Euler matrix or rotation builder is called for any
+    # configuration.
     def forbidden(*args, **kwargs):
         raise AssertionError("called by a column check")
 
+    names = ("fk_tip_fixed", "ik_full", "jacobians", "jacobian_rate", "euler_xyz", "rot_x",
+             "rot_y", "rot_z")
     for module in [m for name, m in sys.modules.items() if name.startswith("rcmkin")]:
-        for name in ("fk_tip_fixed", "ik_full", "euler_xyz", "rot_x", "rot_y", "rot_z"):
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     results = [
         validation.check_euler_quaternion(n=50),
         validation.check_euler_roundtrip(n=50),
         validation.check_fk_ik_roundtrip(n=50),
+        validation.check_jacobian_fd(n=50),
+        validation.check_jacobian_rate_fd(n=50),
         validation.check_numeric_ik(n=10),
     ]
     for result in results:
         assert result.passed, result.line()
 
 
-_configurations = st.lists(
-    st.tuples(
-        *[st.floats(lo, hi) for lo, hi in validation._POSE_RANGES],
-        st.floats(-30, 30), st.floats(0, 30), st.floats(5, 20),
-        st.floats(-80, 80), st.floats(-80, 80), st.floats(20, 280),
-    ),
-    min_size=1, max_size=6,
+_configuration = st.tuples(
+    *[st.floats(lo, hi) for lo, hi in validation._POSE_RANGES],
+    st.floats(-30, 30), st.floats(0, 30), st.floats(5, 20),
+    st.floats(-80, 80), st.floats(-80, 80), st.floats(20, 280),
 )
+_configurations = st.lists(_configuration, min_size=1, max_size=6)
 
 
 def _wrapped(degrees):
@@ -273,6 +290,62 @@ def test_column_bodies_equal_the_scalar_queries(rows, branch):
         assert abs(_wrapped(column.q1[i] - solved.q1)) <= 1e-12
         assert abs(_wrapped(column.q2[i] - solved.q2)) <= 1e-12
         assert abs(column.q3[i] - solved.q3) <= 1e-12
+
+
+def _stacked(geometries):
+    """A column stand-in for per-configuration geometries: their tilts and
+    port offsets as (n,) columns, as ``_relation`` reads them."""
+    return SimpleNamespace(
+        tilts=tuple(np.array(t) for t in zip(*(g.tilts for g in geometries))),
+        port=SimpleNamespace(
+            offset=tuple(np.array(o) for o in zip(*(g.port.offset for g in geometries)))
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(_configuration, st.tuples(*[st.floats(-20, 20)] * 5),
+              st.sampled_from([left_geometry, right_geometry])),
+    min_size=1, max_size=6,
+))
+def test_column_relation_equals_the_scalar_b_and_b_dot(rows):
+    # B and B-dot of the column body, on left and mirrored right geometries
+    # mixed in one batch, against jacobians and jacobian_rate per
+    # configuration, within 1e-15 of the matrix's largest entry.
+    geometries = [make(*row[6:9], q1_limit=180.0, q2_limit=180.0) for row, _, make in rows]
+    columns = np.array([row for row, _, _ in rows]).T
+    rates = np.array([rate for _, rate, _ in rows]).T
+    poses, joints, g = columns[:6], columns[9:], _stacked(geometries)
+    b = validation._b(poses, joints, g)
+    b_dot = validation._b(poses, joints, g, differential._TO_INTERNAL[:, None] * rates)
+    for i, (row, rate, _) in enumerate(rows):
+        pose, q = PlatformPose(*row[:6]), SphericalJoints(*row[9:])
+        expected = [
+            differential.jacobians(pose, q, geometries[i]).b,
+            differential.jacobian_rate(pose, q, geometries[i], differential.InputRates(*rate)),
+        ]
+        for got, want in zip((b[..., i], b_dot[..., i]), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-15,
+                                       atol=1e-15 * np.abs(want).max())
+
+
+def test_finite_difference_b_rate_is_the_column_difference_per_configuration():
+    # The one-configuration form equals the column difference's column; a
+    # configuration at rest gets zeros.
+    rng = np.random.default_rng(5)
+    poses, shapes, joints = validation._draw_configurations(rng, 4)
+    rates = validation._draw(rng, ((-20, 20),) * 5, 4)
+    rates[:, 2] = 0.0
+    internal = differential._TO_INTERNAL[:, None] * rates
+    columns = validation._finite_difference_b_rate(poses, joints,
+                                                   validation._Geometries(*shapes), internal)
+    assert not columns[..., 2].any()
+    for i, (pose, q, geometry) in enumerate(validation._objects(poses, shapes, joints)):
+        one = validation.finite_difference_b_rate(pose, q, geometry,
+                                                  differential.InputRates(*rates[:, i]))
+        assert one.shape == (3, 5)
+        np.testing.assert_allclose(columns[..., i], one, rtol=1e-12, atol=1e-9)
 
 
 def test_importing_the_package_loads_no_scipy():
