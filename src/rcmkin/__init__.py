@@ -33,9 +33,7 @@ from .platform import (
     GIMBAL_MARGIN_DEG,
     PlatformPose,
     PortSide,
-    RcmPort,
     check_pose,
-    left_port,
 )
 from .scenario import (
     InstrumentSetup,
@@ -72,12 +70,4 @@ from .trajectory import (
     sample_profile,
     stretch_profile,
 )
-from .transforms import (
-    euler_xyz,
-    rot_x,
-    rot_y,
-    rot_z,
-    vec3,
-)
-
 __version__ = "0.1.0"

@@ -155,7 +155,7 @@ def _relation(r, c1, s1, c2, s2, cps, sps, q3, geometry: SphericalGeometry,
     five input rates (radians and mm per second), B-dot, from R's entries
     ``r`` (``euler_entries``), the cosines and sines of q1, q2 and psi, and
     q3 (mm). Floats give one configuration; (...) columns, with a geometry
-    whose ``tilts`` and ``port.offset`` may be columns too, give (3, 5, ...).
+    whose ``tilts`` and ``offset`` may be columns too, give (3, 5, ...).
 
     With A = rot_y(alpha) and the arm u = R (offset + q3 A m), B's columns
     are R A (q3 m1), R A (q3 m2), R A m, e_x x u and e x u, where
@@ -173,7 +173,7 @@ def _relation(r, c1, s1, c2, s2, cps, sps, q3, geometry: SphericalGeometry,
         return _rotate(r, _turn_y(v, ca, sa))
 
     joint = [fixed(_mix((q3, m1))), fixed(_mix((q3, m2))), fixed(m)]
-    arm = _mix((1.0, _rotate(r, geometry.port.offset)), (q3, joint[2]))
+    arm = _mix((1.0, _rotate(r, geometry.offset)), (q3, joint[2]))
     if rates is None:
         return np.array(joint + [_cross(e_x, arm), _cross(e, arm)]).swapaxes(0, 1)
     w1, w2, v3, w_psi, w_theta = rates
@@ -334,7 +334,7 @@ def hold_motion(
     q1, q2, q3 = _DEG * joints.q1, _DEG * joints.q2, joints.q3
     c1, s1, c2, s2 = np.cos(q1), np.sin(q1), np.cos(q2), np.sin(q2)
     m, m1, m2, m11, m12, m22 = _insertion_partials(c1, s1, c2, s2, geometry)
-    offset = _turn_y(geometry.port.offset, ca, -sa)  # in the frame after rot_y(alpha)
+    offset = _turn_y(geometry.offset, ca, -sa)  # in the frame after rot_y(alpha)
     arm = tuple(o + q3 * c for o, c in zip(offset, m))
     w, w_dot = (_turn_y(v, ca, -sa) for v in spin)
 

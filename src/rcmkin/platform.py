@@ -1,7 +1,8 @@
-"""Mobile-platform pose and the mapping of its instrument entry ports.
+"""Mobile-platform pose and its gimbal check.
 
 The platform carries the endoscope through its reference point and the two
-instrument RCM ports offset along its X' axis. Poses are position (mm) plus
+instrument RCM ports offset along its X' axis (each module's
+``SphericalGeometry.offset`` and ``side``). Poses are position (mm) plus
 X-Y-Z Euler angles (degrees); the pitch angle is kept away from +/-90 deg
 where that parametrization degenerates.
 """
@@ -15,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GimbalProximityError
-from .transforms import euler_entries, euler_xyz, vec3
+from .transforms import euler_entries
 
 #: Degrees of clearance required between |theta| and the 90 deg degeneracy.
 GIMBAL_MARGIN_DEG = 1e-3
@@ -32,29 +33,6 @@ MAX_COORDINATE = 1e300
 class PortSide(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class RcmPort:
-    """Instrument entry port, fixed in the platform frame (offset in mm)."""
-
-    offset: tuple[float, float, float]
-    side: PortSide
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
-        if not all(abs(v) < MAX_COORDINATE for v in self.offset):
-            raise ValueError(
-                f"port offset must be finite and below {MAX_COORDINATE:g} mm in magnitude"
-            )
-
-    @property
-    def offset_vec(self) -> np.ndarray:
-        return vec3(*self.offset)
-
-
-def left_port(spacing: float = DEFAULT_PORT_SPACING) -> RcmPort:
-    return RcmPort((-spacing, 0.0, 0.0), PortSide.LEFT)
 
 
 @dataclass(frozen=True)
@@ -78,7 +56,7 @@ class PlatformPose:
 
     @property
     def position(self) -> np.ndarray:
-        return vec3(self.x, self.y, self.z)
+        return np.array([self.x, self.y, self.z])
 
     @property
     def angles_rad(self) -> tuple[float, float, float]:
@@ -111,12 +89,3 @@ def check_pose(pose: PlatformPose) -> None:
             f"|theta| = {abs(pose.theta):.6g} deg is within "
             f"{GIMBAL_MARGIN_DEG:g} deg of the 90 deg degeneracy"
         )
-
-
-def platform_matrix(pose: PlatformPose) -> np.ndarray:
-    """Homogeneous transform of the platform frame in the fixed frame."""
-    check_pose(pose)
-    m = np.eye(4)
-    m[:3, :3] = euler_xyz(*pose.angles_rad)
-    m[:3, 3] = pose.position
-    return m

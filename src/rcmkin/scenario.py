@@ -84,7 +84,6 @@ DEFAULT_OUTPUT = "plan.csv"
 class InstrumentSetup:
     """One configured module: geometry plus its scenario-specific data."""
 
-    name: str
     geometry: SphericalGeometry
     tip: np.ndarray | None = None
     start: SphericalJoints | None = None
@@ -282,9 +281,7 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
             tip = kv.floats(f"tip_{name}", 3)
             if tip is not None:
                 _check_coordinates(f"tip_{name}", tip)
-                scenario.instruments.append(
-                    InstrumentSetup(name, by_name[name], tip=np.array(tip))
-                )
+                scenario.instruments.append(InstrumentSetup(by_name[name], tip=np.array(tip)))
         if not scenario.instruments:
             raise ScenarioValidationError(
                 "type4 requires at least one of tip_left / tip_right", "tip_left"
@@ -294,7 +291,7 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
         kv.require("start_joints")
         name = kv.word("instrument", {"left": "left", "right": "right"})
         start = SphericalJoints(*kv.floats("start_joints", 3))
-        scenario.instruments.append(InstrumentSetup(name, by_name[name], start=start))
+        scenario.instruments.append(InstrumentSetup(by_name[name], start=start))
         if motion is MotionType.INSERT:
             kv.require("target_q3")
             scenario.target_q3 = kv.number("target_q3")
@@ -307,7 +304,9 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file; a file that is not UTF-8 raises
-    ScenarioParseError naming the line and byte offset of the first bad byte."""
+    ScenarioParseError naming the line and byte offset of the first bad byte.
+    A leading byte-order mark is dropped after decoding, so that the offset
+    still counts the file's bytes."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -316,7 +315,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(
             f"{path}:{line}: not UTF-8 text (byte offset {exc.start})", line
         ) from None
-    return parse_scenario(text, source=str(path))
+    return parse_scenario(text.removeprefix("\ufeff"), source=str(path))
 
 
 def bundled_scenario(name: str) -> Scenario:

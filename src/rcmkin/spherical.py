@@ -10,9 +10,9 @@ that runs on floats for one configuration and on (n,) columns for a grid:
 ``insertion`` (the unit insertion direction m), ``tip_position``
 (R (offset + q3 rot_y(alpha) m) + p), ``tip_vector`` (R^T d - offset) and
 ``solve_ik`` (the closed-form IK on ``IK_SCALAR`` or ``IK_GRID``).
-``fk_tip_fixed_chain`` composes the homogeneous transforms instead; no
-planner or query runs it, it is the independent route the oracle suite
-(``rcmkin validate``) checks the expansion against.
+``fk_tip_fixed_chain`` multiplies the 4x4 homogeneous transforms instead, in
+one function; no planner or query runs it, it is the independent route the
+oracle suite (``rcmkin validate``) checks the expansion against.
 
 The IK's checks come in two forms that read the same comparisons
 (``_ik_defects``, ``_within_travel``): ``check_ik`` raises for one solved
@@ -37,12 +37,9 @@ from .platform import (
     MAX_COORDINATE,
     PlatformPose,
     PortSide,
-    RcmPort,
     check_pose,
-    left_port,
-    platform_matrix,
 )
-from .transforms import last_column, rot_x, rot_y, trans_z
+from .transforms import euler_xyz, rot_x, rot_y
 
 #: Relative slack on |sin q2| <= cos(beta) before a tip is called unreachable.
 REACH_TOL = 1e-12
@@ -71,13 +68,16 @@ class IkBranch(Enum):
 class SphericalGeometry:
     """Fixed geometry of one instrument module.
 
-    alpha/beta are the outer/inner tilt angles of the rotation stack in
-    degrees (alpha changes sign on the mirrored module). ``radius`` is the
-    physical sphere radius of the linkage; it bounds the hardware envelope
-    but does not enter the tip map. q1/q2 travels are symmetric about zero.
+    ``offset`` is the entry port's position in the platform frame (mm) and
+    ``side`` the platform side it sits on. alpha/beta are the outer/inner
+    tilt angles of the rotation stack in degrees (alpha changes sign on the
+    mirrored module). ``radius`` is the physical sphere radius of the
+    linkage; it bounds the hardware envelope but does not enter the tip map.
+    q1/q2 travels are symmetric about zero.
     """
 
-    port: RcmPort
+    offset: tuple[float, float, float]
+    side: PortSide
     alpha: float = 10.0
     beta: float = 10.0
     radius: float = 110.0
@@ -87,6 +87,11 @@ class SphericalGeometry:
     q2_limit: float = 90.0
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
+        if not all(abs(v) < MAX_COORDINATE for v in self.offset):
+            raise ValueError(
+                f"port offset must be finite and below {MAX_COORDINATE:g} mm in magnitude"
+            )
         if not abs(self.alpha) < 90.0:
             raise ValueError("alpha magnitude must be below 90 deg")
         if not 0.0 <= self.beta < 90.0:
@@ -137,7 +142,9 @@ def left_geometry(
     **overrides,
 ) -> SphericalGeometry:
     """Geometry of the left module with its port at -spacing on X'."""
-    return SphericalGeometry(port=left_port(port_spacing), alpha=alpha, beta=beta, **overrides)
+    return SphericalGeometry(
+        (-port_spacing, 0.0, 0.0), PortSide.LEFT, alpha=alpha, beta=beta, **overrides
+    )
 
 
 def right_geometry(
@@ -153,11 +160,10 @@ def right_geometry(
 def mirrored(geometry: SphericalGeometry, negate_alpha: bool = True) -> SphericalGeometry:
     """Opposite-hand twin of a module: the port X offset changes sign, and by
     default so does alpha (the platform is symmetric about its Y'Z' plane)."""
-    ox, oy, oz = geometry.port.offset
-    side = PortSide.RIGHT if geometry.port.side is PortSide.LEFT else PortSide.LEFT
-    port = RcmPort((-ox, oy, oz), side)
+    ox, oy, oz = geometry.offset
+    side = PortSide.RIGHT if geometry.side is PortSide.LEFT else PortSide.LEFT
     alpha = -geometry.alpha if negate_alpha else geometry.alpha
-    return replace(geometry, port=port, alpha=alpha)
+    return replace(geometry, offset=(-ox, oy, oz), side=side, alpha=alpha)
 
 
 def _within_travel(joints: SphericalJoints, geometry: SphericalGeometry):
@@ -196,26 +202,6 @@ def joint_faults(joints: SphericalJoints, geometry: SphericalGeometry) -> np.nda
     return ~(q1_in & q2_in & q3_in)
 
 
-def module_matrix(joints: SphericalJoints, geometry: SphericalGeometry) -> np.ndarray:
-    """Homogeneous transform of the instrument tip in the module frame:
-    rot_y(alpha) . rot_x(q1) . rot_y(q2) . rot_x(beta) . trans_z(-q3)."""
-    check_joints(joints, geometry)
-    rotation = (
-        rot_y(math.radians(geometry.alpha))
-        @ rot_x(math.radians(joints.q1))
-        @ rot_y(math.radians(joints.q2))
-        @ rot_x(math.radians(geometry.beta))
-    )
-    m = np.eye(4)
-    m[:3, :3] = rotation
-    return m @ trans_z(-joints.q3)
-
-
-def tip_in_platform(joints: SphericalJoints, geometry: SphericalGeometry) -> np.ndarray:
-    """Tip position in the module frame; its norm equals q3."""
-    return last_column(module_matrix(joints, geometry))
-
-
 def insertion(c1, s1, c2, s2, geometry: SphericalGeometry):
     """The unit insertion direction m = rot_x(q1) rot_y(q2) rot_x(beta) (-z),
     in the frame after rot_y(alpha), from the cosines and sines of q1 and q2."""
@@ -229,7 +215,7 @@ def tip_position(r, m, q3, geometry: SphericalGeometry, position):
     ``insertion``'s m, the insertion depth q3 (mm) and the platform position
     p (three floats, mm)."""
     ca, sa, _, _ = geometry.tilts
-    ox, oy, oz = geometry.port.offset
+    ox, oy, oz = geometry.offset
     mx, my, mz = m
     ax = ox + q3 * (ca * mx + sa * mz)
     ay = oy + q3 * my
@@ -259,10 +245,24 @@ def fk_tip_fixed(
 def fk_tip_fixed_chain(
     pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGeometry
 ) -> np.ndarray:
-    """Instrument tip in the fixed frame via homogeneous-transform composition."""
-    port = np.eye(4)
-    port[:3, 3] = geometry.port.offset
-    return last_column(platform_matrix(pose) @ port @ module_matrix(joints, geometry))
+    """Instrument tip in the fixed frame via homogeneous-transform composition:
+    platform . port . (module . insertion), where the module rotation is
+    rot_y(alpha) . rot_x(q1) . rot_y(q2) . rot_x(beta) and the insertion a
+    translation by -q3 along Z."""
+    check_pose(pose)
+    check_joints(joints, geometry)
+    platform, port, module, insert = (np.eye(4) for _ in range(4))
+    platform[:3, :3] = euler_xyz(*pose.angles_rad)
+    platform[:3, 3] = pose.position
+    port[:3, 3] = geometry.offset
+    module[:3, :3] = (
+        rot_y(math.radians(geometry.alpha))
+        @ rot_x(math.radians(joints.q1))
+        @ rot_y(math.radians(joints.q2))
+        @ rot_x(math.radians(geometry.beta))
+    )
+    insert[2, 3] = -joints.q3
+    return (platform @ port @ (module @ insert))[:3, 3]
 
 
 def _ik_defects(q3, sin_q2):
@@ -322,7 +322,7 @@ def tip_vector(r, d, geometry: SphericalGeometry):
     rotation's entries ``r`` (``transforms.euler_entries``)."""
     r11, r12, r13, r21, r22, r23, r31, r32, r33 = r
     dx, dy, dz = d
-    ox, oy, oz = geometry.port.offset
+    ox, oy, oz = geometry.offset
     return (
         r11 * dx + r21 * dy + r31 * dz - ox,
         r12 * dx + r22 * dy + r32 * dz - oy,

@@ -368,7 +368,7 @@ def plan_type4(
     n = len(times)
     psi, theta = start.psi + moved[:, 0], start.theta + moved[:, 1]
     tracks = [
-        InstrumentTrack(g.port.side.value, g, *(np.empty((n, 3)) for _ in range(4)), np.empty(n))
+        InstrumentTrack(g.side.value, g, *(np.empty((n, 3)) for _ in range(4)), np.empty(n))
         for g, _ in instruments
     ]
     last_sigma, last_q2 = [None] * len(tracks), [None] * len(tracks)
@@ -472,7 +472,7 @@ def _plan_joint_space(
         pose_accels=np.zeros((n, 2)),
         instruments=(
             InstrumentTrack(
-                geometry.port.side.value, geometry, grid, rates, accels, tip, np.abs(sigma)
+                geometry.side.value, geometry, grid, rates, accels, tip, np.abs(sigma)
             ),
         ),
     )

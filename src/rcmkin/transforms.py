@@ -1,13 +1,13 @@
-"""3D rotation builders and 4x4 homogeneous transforms.
+"""3D rotation builders and the entries of the X-Y-Z Euler rotation.
 
-Right-handed frames, column-vector convention, angles in radians. Matrices
-are plain float64 numpy arrays: (3, 3) for rotations, (4, 4) for rigid
-transforms with the fixed bottom row (0, 0, 0, 1). The builders take one
-angle each; they serve only the homogeneous-chain FK that the oracle suite
-checks the tip map against (``spherical.fk_tip_fixed_chain``). The queries,
-the planners and the velocity relation read ``euler_entries`` instead, which
-writes the X-Y-Z Euler rotation as the arithmetic of its direction cosines
-and runs alike on floats for one pose and on arrays for a grid of poses.
+Right-handed frames, column-vector convention, angles in radians. The
+builders take one angle each and return (3, 3) float64 arrays; they serve
+only the homogeneous-chain FK that the oracle suite checks the tip map
+against (``spherical.fk_tip_fixed_chain``), which writes its 4x4 transforms
+itself. The queries, the planners and the velocity relation read
+``euler_entries`` instead, which writes the X-Y-Z Euler rotation as the
+arithmetic of its direction cosines and runs alike on floats for one pose
+and on arrays for a grid of poses.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -53,15 +49,3 @@ def euler_entries(cps, sps, ct, st, cph, sph):
         cps * sph + sps * st * cph, cps * cph - sps * st * sph, -sps * ct,
         sps * sph - cps * st * cph, sps * cph + cps * st * sph, cps * ct,
     )
-
-
-def trans_z(d: float) -> np.ndarray:
-    """Homogeneous translation by d along the Z axis."""
-    m = np.eye(4)
-    m[2, 3] = d
-    return m
-
-
-def last_column(m: np.ndarray) -> np.ndarray:
-    """Translation part of a homogeneous transform."""
-    return m[:3, 3].copy()

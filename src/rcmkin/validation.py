@@ -26,7 +26,7 @@ configuration:
 
 Each configuration keeps its own random geometry: the column bodies read it
 through ``_Geometries``, which holds only what they read (``tilts``,
-``port.offset`` and ``travel``) as (n,) columns. Only the homogeneous chain
+``offset`` and ``travel``) as (n,) columns. Only the homogeneous chain
 takes objects, so it alone runs per configuration. No check calls the scalar
 queries ``fk_tip_fixed``, ``ik_full``, ``jacobians`` or ``jacobian_rate``.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -203,7 +202,7 @@ def _objects(poses: np.ndarray, shapes: np.ndarray, joints: np.ndarray) -> zip:
 
 class _Geometries:
     """Stand-in for ``left_geometry(alpha, beta, spacing)`` over (n,) columns:
-    the ``tilts`` and ``port.offset`` that the tip and IK bodies read, as
+    the ``tilts`` and ``offset`` that the tip, IK and B bodies read, as
     columns, and the ``travel`` that ``ik_faults`` reads (every drawn
     geometry has the default travels)."""
 
@@ -211,7 +210,7 @@ class _Geometries:
         a, b = np.radians(alpha), np.radians(beta)
         zero = np.zeros_like(spacing)
         self.tilts = (np.cos(a), np.sin(a), np.cos(b), np.sin(b))
-        self.port = SimpleNamespace(offset=(-spacing, zero, zero))
+        self.offset = (-spacing, zero, zero)
         self.travel = left_geometry().travel
 
 

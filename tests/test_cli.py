@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -86,8 +87,9 @@ def test_run_missing_scenario_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "data, line, offset",
     [(b"motion = type2\xff\n", 1, 14),
-     (b"motion = type4\r\npose = 0 0 -500 0 0 0 # \xe9t\xe9\n", 2, 40)],
-    ids=["first-line", "crlf-second-line"],
+     (b"motion = type4\r\npose = 0 0 -500 0 0 0 # \xe9t\xe9\n", 2, 40),
+     (b"\xef\xbb\xbfmotion = type2\xff\n", 1, 17)],  # the offset counts the mark
+    ids=["first-line", "crlf-second-line", "after-byte-order-mark"],
 )
 def test_run_scenario_that_is_not_utf8_exits_1(tmp_path, capsys, data, line, offset):
     scenario, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
@@ -97,6 +99,16 @@ def test_run_scenario_that_is_not_utf8_exits_1(tmp_path, capsys, data, line, off
     assert _single_error_line(captured.err)
     assert f"{scenario}:{line}:" in captured.err and f"byte offset {offset}" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_run_scenario_with_a_byte_order_mark_writes_the_plain_bytes(tmp_path, capsys):
+    demo = resources.files("rcmkin").joinpath("data", f"{DEMO}.cfg").read_bytes()
+    for name, data in (("plain", demo), ("bom", b"\xef\xbb\xbf" + demo)):
+        (tmp_path / f"{name}.cfg").write_bytes(data)
+        argv = ["run", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / f"{name}.csv")]
+        assert cli.main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_run_invalid_scenario_exits_1(tmp_path, capsys):

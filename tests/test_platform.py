@@ -11,7 +11,9 @@ from rcmkin import (
     left_geometry,
     right_geometry,
 )
-from rcmkin.platform import GIMBAL_MARGIN_DEG, check_pose, near_gimbal, platform_matrix
+from rcmkin.platform import GIMBAL_MARGIN_DEG, check_pose, near_gimbal
+from rcmkin.spherical import fk_tip_fixed_chain
+from rcmkin.transforms import euler_xyz
 
 
 def _euler_entries(psi, theta, phi):
@@ -32,26 +34,28 @@ def _port(pose, geometry, q1=0.0, q2=0.0):
 
 
 def test_identity_pose_gives_identity_matrix():
-    assert np.array_equal(platform_matrix(PlatformPose(0, 0, 0, 0, 0, 0)), np.eye(4))
+    pose = PlatformPose(0, 0, 0, 0, 0, 0)
+    assert np.array_equal(euler_xyz(*pose.angles_rad), np.eye(3))
+    assert np.array_equal(pose.position, [0.0, 0.0, 0.0])
 
 
 def test_demo_pose_translation_column(demo_pose):
-    m = platform_matrix(demo_pose)
-    assert np.array_equal(m[:3, 3], [15.0, 20.0, -500.0])
-    assert np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(demo_pose.position, [15.0, 20.0, -500.0])
 
 
 def test_demo_pose_rotation_block_matches_direction_cosines(demo_pose):
-    m = platform_matrix(demo_pose)
     expected = _euler_entries(*demo_pose.angles_rad)
-    assert np.abs(m[:3, :3] - expected).max() < 1e-15
+    assert np.abs(euler_xyz(*demo_pose.angles_rad) - expected).max() < 1e-15
 
 
 def test_gimbal_guard():
     with pytest.raises(GimbalProximityError):
-        platform_matrix(PlatformPose(0, 0, 0, 0, 89.9999, 0))
+        check_pose(PlatformPose(0, 0, 0, 0, 89.9999, 0))
+    with pytest.raises(GimbalProximityError):
+        fk_tip_fixed_chain(PlatformPose(0, 0, 0, 0, 89.9999, 0), SphericalJoints(0, 0, 100),
+                           left_geometry())
     # Just inside the margin is fine.
-    platform_matrix(PlatformPose(0, 0, 0, 0, 89.9, 0))
+    check_pose(PlatformPose(0, 0, 0, 0, 89.9, 0))
 
 
 _EDGE = 90.0 - GIMBAL_MARGIN_DEG

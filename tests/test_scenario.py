@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from rcmkin import (
     IkBranch,
     MotionType,
+    PortSide,
     Scenario,
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
     bundled_scenario,
     endoscope_tips,
-    euler_xyz,
     load_scenario,
     parse_scenario,
     run_scenario,
 )
 from rcmkin import scenario as scenario_module
+from rcmkin.transforms import euler_xyz
 
 MINIMAL_TYPE4 = """
 motion = type4
@@ -39,11 +40,11 @@ def test_bundled_demo_scenario_matches_reference_parameters():
     assert sc.branch is IkBranch.PRINCIPAL
     assert len(sc.instruments) == 1
     inst = sc.instruments[0]
-    assert inst.name == "left"
+    assert inst.geometry.side is PortSide.LEFT
     assert np.array_equal(inst.tip, [50.0, -50.0, -620.0])
     assert inst.geometry.alpha == 10.0 and inst.geometry.beta == 10.0
     assert inst.geometry.radius == 110.0
-    assert inst.geometry.port.offset == (-10.0, 0.0, 0.0)
+    assert inst.geometry.offset == (-10.0, 0.0, 0.0)
 
 
 def test_defaults_applied():
@@ -164,9 +165,9 @@ def test_endoscope_tips_equal_the_euler_rotation_product(rng, insertion):
 
 def test_mirror_alpha_flag():
     sc = parse_scenario(MINIMAL_TYPE4 + "tip_right = -10 -10 -600\nmirror_alpha = false\n")
-    right = next(i for i in sc.instruments if i.name == "right")
+    right = next(i for i in sc.instruments if i.geometry.side is PortSide.RIGHT)
     assert right.geometry.alpha == 10.0
-    assert right.geometry.port.offset == (10.0, 0.0, 0.0)
+    assert right.geometry.offset == (10.0, 0.0, 0.0)
 
 
 def test_start_joints_must_be_numeric():

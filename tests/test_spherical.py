@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rcmkin import (
     IkBranch,
     JointLimitError,
     PlatformPose,
+    PortSide,
     SphericalJoints,
     UnreachableError,
     fk_tip_fixed,
@@ -26,8 +28,6 @@ from rcmkin.spherical import (
     fk_tip_fixed_chain,
     ik_faults,
     joint_faults,
-    module_matrix,
-    tip_in_platform,
 )
 from rcmkin.transforms import euler_xyz
 from rcmkin.validation import _random_geometry, _random_joints, _random_pose, _worse
@@ -41,17 +41,27 @@ def _random_setup(rng, swing=80.0):
     return _random_pose(rng), _random_geometry(rng), _random_joints(rng, margin=90.0 - swing)
 
 
+def _module_tip(joints, geometry):
+    """The chain's tip in the module frame: under the identity pose the
+    platform frame is the fixed frame, and the port sits at the offset."""
+    return fk_tip_fixed_chain(PlatformPose(0, 0, 0, 0, 0, 0), joints, geometry) - np.array(
+        geometry.offset
+    )
+
+
 def test_module_matrix_straight_chain():
+    # alpha = beta = q1 = q2 = 0: the module rotation is the identity, so the
+    # insertion alone moves the tip, by (0, 0, -q3). No insertion leaves it
+    # at the port, and insertions add.
     g = left_geometry(alpha=0.0, beta=0.0)
-    m = module_matrix(SphericalJoints(0, 0, 100), g)
-    assert np.allclose(m[:3, :3], np.eye(3), atol=1e-15)
-    assert np.allclose(m[:3, 3], [0, 0, -100], atol=1e-15)
+    for q3 in (0.0, 2.5, 5.0, 7.5, 100.0, 120.0):
+        assert np.allclose(_module_tip(SphericalJoints(0, 0, q3), g), [0, 0, -q3], atol=1e-15)
 
 
 def test_module_matrix_tilted_chain_symbolic_expansion():
     # At q1 = q2 = 0 the tip reduces to rot_y(alpha) rot_x(beta) (0, 0, -q3).
     g = left_geometry(alpha=10.0, beta=10.0)
-    tip = tip_in_platform(SphericalJoints(0, 0, 100), g)
+    tip = _module_tip(SphericalJoints(0, 0, 100), g)
     a, b = math.radians(10), math.radians(10)
     expected = [
         -100 * math.sin(a) * math.cos(b),
@@ -66,32 +76,32 @@ def test_rcm_property_zero_insertion(rng):
     g = left_geometry(q3_min=0.0)
     for _ in range(50):
         joints = SphericalJoints(rng.uniform(-80, 80), rng.uniform(-80, 80), 0.0)
-        assert np.allclose(tip_in_platform(joints, g), [0, 0, 0], atol=1e-15)
+        assert np.allclose(_module_tip(joints, g), [0, 0, 0], atol=1e-15)
 
 
 def test_tip_norm_equals_insertion(rng):
     for _ in range(1000):
         _, g, joints = _random_setup(rng)
-        norm = np.linalg.norm(tip_in_platform(joints, g))
+        norm = np.linalg.norm(_module_tip(joints, g))
         assert norm == pytest.approx(joints.q3, rel=1e-12)
 
 
 def test_tip_linear_in_insertion():
     g = left_geometry()
-    base = tip_in_platform(SphericalJoints(25, -40, 100), g)
-    doubled = tip_in_platform(SphericalJoints(25, -40, 200), g)
+    base = _module_tip(SphericalJoints(25, -40, 100), g)
+    doubled = _module_tip(SphericalJoints(25, -40, 200), g)
     assert np.allclose(doubled, 2.0 * base, atol=1e-12)
 
 
 def test_joint_limit_errors():
     g = left_geometry()
     with pytest.raises(JointLimitError):
-        module_matrix(SphericalJoints(95, 0, 100), g)
+        _module_tip(SphericalJoints(95, 0, 100), g)
     with pytest.raises(JointLimitError):
-        module_matrix(SphericalJoints(0, 0, 500), g)
+        _module_tip(SphericalJoints(0, 0, 500), g)
     for nan_joints in ((math.nan, 0, 100), (0, math.nan, 100), (0, 0, math.nan)):
         with pytest.raises(JointLimitError):
-            module_matrix(SphericalJoints(*nan_joints), g)
+            _module_tip(SphericalJoints(*nan_joints), g)
 
 
 @pytest.mark.parametrize("end", [(None, None, 300.0), (90.0, None, None), (-90.0, None, None)])
@@ -199,7 +209,7 @@ def test_ik_trivial_inverse():
 
 def test_ik_inverts_tilted_chain_example():
     g = left_geometry(alpha=10.0, beta=10.0)
-    v = tip_in_platform(SphericalJoints(0, 0, 100), g)
+    v = _module_tip(SphericalJoints(0, 0, 100), g)
     joints = ik_tip_platform(v, g)
     assert (joints.q1, joints.q2, joints.q3) == pytest.approx((0, 0, 100), abs=1e-9)
 
@@ -263,9 +273,9 @@ def test_mirror_branch_round_trips(rng):
             rng.choice([-1, 1]) * rng.uniform(95, 165),
             rng.uniform(20, 280),
         )
-        v = tip_in_platform(joints, g)
+        v = _module_tip(joints, g)
         solved = ik_tip_platform(v, g, IkBranch.MIRROR)
-        assert np.allclose(tip_in_platform(solved, g), v, atol=1e-9)
+        assert np.allclose(_module_tip(solved, g), v, atol=1e-9)
         assert solved.q2 == pytest.approx(joints.q2, abs=1e-9)
 
 
@@ -316,26 +326,48 @@ def test_fk_ik_round_trip_on_both_branches(
     assert np.abs(fk_tip_fixed(pose, solved, g) - tip).max() <= 1e-9
 
 
+def test_chain_is_independent_of_the_direction_cosine_expansion(monkeypatch, rng):
+    # Criterion 6 and dual-path-fk compare two routes; the chain must not
+    # run any piece of the expansion it is checked against.
+    setups = [(pose, joints, g) for pose, g, joints in (_random_setup(rng) for _ in range(200))]
+    expected = [fk_tip_fixed(*setup) for setup in setups]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the chain ran a piece of the expansion")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("rcmkin")]:
+        for name in ("insertion", "tip_position", "tip_vector", "euler_entries"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(PlatformPose, "rotation_entries", property(forbidden))
+    with pytest.raises(AssertionError):
+        fk_tip_fixed(*setups[0])
+    for setup, tip in zip(setups, expected):
+        assert np.abs(fk_tip_fixed_chain(*setup) - tip).max() <= 1e-12
+
+
 def test_rcm_invariance_zero_insertion_matches_port(demo_pose, rng):
     g = left_geometry()
     # The left port sits at (-10, 0, 0) in the platform frame.
     port = euler_xyz(*demo_pose.angles_rad) @ [-10.0, 0.0, 0.0] + demo_pose.position
     for _ in range(100):
         joints = SphericalJoints(rng.uniform(-80, 80), rng.uniform(-80, 80), 0.0)
-        tip = fk_tip_fixed(demo_pose, joints, g)
-        assert np.allclose(tip, port, atol=1e-12)
+        assert np.allclose(fk_tip_fixed(demo_pose, joints, g), port, atol=1e-12)
+        assert np.allclose(fk_tip_fixed_chain(demo_pose, joints, g), port, atol=1e-12)
 
 
 def test_mirrored_geometry_reflects_tip(rng):
     left = left_geometry(alpha=10.0, beta=10.0)
     right = mirrored(left)
     assert right.alpha == -10.0
-    assert right.port.offset == (10.0, 0.0, 0.0)
+    assert right.offset == (10.0, 0.0, 0.0)
+    assert (left.side, right.side) == (PortSide.LEFT, PortSide.RIGHT)
+    assert mirrored(right) == left
     for _ in range(200):
         q1, q2 = rng.uniform(-80, 80, 2)
         q3 = rng.uniform(20, 280)
-        tip_l = tip_in_platform(SphericalJoints(q1, q2, q3), left)
-        tip_r = tip_in_platform(SphericalJoints(q1, -q2, q3), right)
+        tip_l = _module_tip(SphericalJoints(q1, q2, q3), left)
+        tip_r = _module_tip(SphericalJoints(q1, -q2, q3), right)
         assert np.allclose(tip_r, tip_l * [-1, 1, 1], atol=1e-12)
 
 

@@ -56,15 +56,6 @@ def test_euler_xyz_is_rotation(rng):
         assert is_rotation(tf.euler_xyz(psi, theta, phi))
 
 
-def test_trans_z_identity_and_translation():
-    assert np.array_equal(tf.trans_z(0.0), np.eye(4))
-    assert np.array_equal(tf.last_column(tf.trans_z(-120.0)), [0, 0, -120.0])
-
-
-def test_trans_z_composition():
-    assert np.allclose(tf.trans_z(7.5) @ tf.trans_z(-2.5), tf.trans_z(5.0), atol=1e-15)
-
-
 def test_euler_xyz_trivial_cases():
     assert np.array_equal(tf.euler_xyz(0, 0, 0), np.eye(3))
     psi = 0.3
@@ -88,13 +79,6 @@ def test_euler_roundtrip_away_from_degeneracy(rng):
         )
         recovered = _euler_xyz_angles(tf.euler_xyz(*angles))
         assert np.allclose(angles, recovered, atol=1e-9)
-
-
-def test_last_column_reads_translation():
-    m = np.eye(4)
-    m[:3, :3] = tf.rot_x(1.0)
-    m[:3, 3] = [4.0, -5.0, 6.0]
-    assert np.array_equal(tf.last_column(m), [4.0, -5.0, 6.0])
 
 
 def test_is_rotation_rejects_reflection_and_scale():

@@ -297,9 +297,7 @@ def _stacked(geometries):
     port offsets as (n,) columns, as ``_relation`` reads them."""
     return SimpleNamespace(
         tilts=tuple(np.array(t) for t in zip(*(g.tilts for g in geometries))),
-        port=SimpleNamespace(
-            offset=tuple(np.array(o) for o in zip(*(g.port.offset for g in geometries)))
-        ),
+        offset=tuple(np.array(o) for o in zip(*(g.offset for g in geometries))),
     )
 
 
