@@ -3,7 +3,9 @@ import math
 import numpy as np
 from conftest import is_rotation
 
+from rcmkin import PlatformPose, SphericalJoints, left_geometry
 from rcmkin import transforms as tf
+from rcmkin.spherical import fk_tip_fixed_chain
 from rcmkin.validation import _euler_xyz_angles, _worse, euler_quaternion_oracle
 
 
@@ -56,6 +58,24 @@ def test_euler_xyz_is_rotation(rng):
         assert is_rotation(tf.euler_xyz(psi, theta, phi))
 
 
+def _straight_chain_tip(q3, pose=PlatformPose(0, 0, -500, 0, 0, 0)):
+    # alpha = beta = q1 = q2 = 0: the module rotation is the identity, so the
+    # tip is the port moved by the insertion translation alone.
+    geometry = left_geometry(alpha=0.0, beta=0.0, q3_min=0.0)
+    return fk_tip_fixed_chain(pose, SphericalJoints(0.0, 0.0, q3), geometry)
+
+
+def test_trans_z_identity_and_translation():
+    port = np.array([-10.0, 0.0, -500.0])
+    assert np.array_equal(_straight_chain_tip(0.0), port)
+    assert np.array_equal(_straight_chain_tip(120.0) - port, [0, 0, -120.0])
+
+
+def test_trans_z_composition():
+    step = _straight_chain_tip(7.5) - _straight_chain_tip(2.5)
+    assert np.allclose(step, _straight_chain_tip(5.0) - _straight_chain_tip(0.0), atol=1e-12)
+
+
 def test_euler_xyz_trivial_cases():
     assert np.array_equal(tf.euler_xyz(0, 0, 0), np.eye(3))
     psi = 0.3
@@ -79,6 +99,14 @@ def test_euler_roundtrip_away_from_degeneracy(rng):
         )
         recovered = _euler_xyz_angles(tf.euler_xyz(*angles))
         assert np.allclose(angles, recovered, atol=1e-9)
+
+
+def test_last_column_reads_translation():
+    # With no insertion the chain's translation column is the port carried
+    # by a rotated, shifted platform: R offset + p.
+    pose = PlatformPose(4.0, -5.0, 6.0, math.degrees(1.0), 0.0, 0.0)
+    expected = tf.rot_x(1.0) @ [-10.0, 0.0, 0.0] + [4.0, -5.0, 6.0]
+    assert np.allclose(_straight_chain_tip(0.0, pose), expected, atol=1e-12)
 
 
 def test_is_rotation_rejects_reflection_and_scale():
