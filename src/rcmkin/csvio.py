@@ -69,7 +69,7 @@ def _columns(
             (_POSE_RATE_COLUMNS[2:], plan.pose_accels),
         ]
     for track in plan.instruments:
-        name = track.name
+        name = track.geometry.side.value
         columns += [
             (tuple(f"{name}_{c}" for c in _JOINT_COLUMNS), track.joints),
             (tuple(f"{name}_{c}_dot" for c in _JOINT_COLUMNS), track.rates),

@@ -11,9 +11,9 @@ happens only at this module's public boundaries.
 The partials of the insertion direction m in (q1, q2) are written once,
 elementwise (``_insertion_partials``), and both bodies of the relation read
 them. ``_relation`` is the one body of B and B-dot: cross products with the
-rotation axes over R's entries (``euler_entries``) and the cosines and sines
-its caller takes, as ``spherical.insertion`` and ``solve_ik`` do. Floats give
-one configuration and (n,) columns n of them. ``jacobians`` and
+rotation axes over R's entries (``platform.euler_entries``) and the cosines
+and sines its caller takes, as ``spherical.insertion`` and ``solve_ik`` do.
+Floats give one configuration and (n,) columns n of them. ``jacobians`` and
 ``jacobian_rate`` evaluate it on one configuration by the math module; the
 oracle suite (``validation``) evaluates it once on its drawn columns. They
 are the paper's public velocity relation, the tests check the planners
@@ -21,12 +21,12 @@ against them, and ``compensation_*`` stay general 3x3 solves over them.
 
 The reorientation planner does not build B. Premultiplying the relation by
 R^T leaves every term in the platform frame as a few (n,) columns over a
-block of the time grid: ``platform_rotation`` and ``platform_spin`` per
-block, ``spherical.solve_ik`` for the joints and ``hold_motion`` for the
-rates, accelerations and tips, in closed form. The normalized singularity
-measure is closed-form too, |sigma| with sigma = -cos q2 cos beta;
-``singular_faults`` flags the samples of a grid that ``check_nonsingular``
-or ``check_same_sign`` would reject.
+block of the time grid: the platform's rotation and spin per block
+(``platform.platform_rotation`` and ``platform_spin``), ``spherical.solve_ik``
+for the joints and ``hold_motion`` for the rates, accelerations and tips, in
+closed form. The normalized singularity measure is closed-form too, |sigma|
+with sigma = -cos q2 cos beta; ``singular_faults`` flags the samples of a
+grid that ``check_nonsingular`` or ``check_same_sign`` would reject.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularConfigurationError
-from .platform import PlatformPose, check_pose
+from .platform import _DEG, PlatformPose, check_pose
 from .spherical import SphericalGeometry, SphericalJoints, check_joints, insertion, tip_position
-from .transforms import euler_entries
 
 #: Abort threshold on the normalized joint-block determinant.
 SIGMA_MIN = 1e-8
 
 # Per-entry factor from (deg, deg, mm, deg, deg) to (rad, rad, mm, rad, rad).
-_DEG = math.pi / 180.0
 _TO_INTERNAL = np.array([_DEG, _DEG, 1.0, _DEG, _DEG])
 
 # Per-entry factor from solved (q1, q2, q3) in (rad, rad, mm) to (deg, deg, mm).
@@ -276,40 +274,6 @@ def jacobian_rate(
 # u'' = -W' x u - W x u', with W the platform's angular velocity in its own
 # frame. The joint rates solve [q3 m1, q3 m2, m] q' = u', where m1, m2 are
 # the partials of m in q1 and q2; the accelerations solve the same system.
-
-
-def platform_rotation(psi, theta, phi: float):
-    """The entries of R = rot_x(psi) rot_y(theta) rot_z(phi)
-    (``euler_entries``) over grids of psi and theta (deg), phi held (deg)."""
-    psi, theta, phi = _DEG * psi, _DEG * theta, math.radians(phi)
-    return euler_entries(
-        np.cos(psi), np.sin(psi), np.cos(theta), np.sin(theta), math.cos(phi), math.sin(phi)
-    )
-
-
-def platform_spin(theta, phi: float, pose_rates: np.ndarray, pose_accels: np.ndarray):
-    """The platform's angular velocity W and acceleration W' in its own
-    frame (rad/s, rad/s^2) over a theta grid (deg), phi held, from the
-    (psi, theta) rates and accelerations (n, 2) in deg/s and deg/s^2.
-
-    W = psi' a + theta' b with a = R^T e_x = (ct cph, -ct sph, st) and
-    b = rot_z(phi)^T e_y = (sph, cph, 0); b is fixed, so
-    W' = psi'' a + theta'' b + psi' theta' da/dtheta.
-    """
-    ct, st = np.cos(_DEG * theta), np.sin(_DEG * theta)
-    cph, sph = math.cos(math.radians(phi)), math.sin(math.radians(phi))
-    w_psi, w_theta = _DEG * pose_rates.T
-    e_psi, e_theta = _DEG * pose_accels.T
-    a = (ct * cph, -ct * sph, st)
-    a_theta = (-st * cph, st * sph, ct)
-    w = (w_psi * a[0] + w_theta * sph, w_psi * a[1] + w_theta * cph, w_psi * a[2])
-    turn = w_psi * w_theta
-    w_dot = (
-        e_psi * a[0] + e_theta * sph + turn * a_theta[0],
-        e_psi * a[1] + e_theta * cph + turn * a_theta[1],
-        e_psi * a[2] + turn * a_theta[2],
-    )
-    return w, w_dot
 
 
 def hold_motion(

@@ -42,7 +42,7 @@ Keys (defaults in parentheses; lengths in mm, angles in degrees):
 For type 2 the limits apply to the insertion joint and are read as mm/s and
 mm/s^2; for type 3 they apply per joint in that joint's units. The endoscope
 column (``endoscope_tips``) reads the planners' platform rotation
-(``differential.platform_rotation``).
+(``platform.platform_rotation``).
 """
 
 from __future__ import annotations
@@ -54,11 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .differential import platform_rotation
 from .errors import GimbalProximityError, ScenarioParseError, ScenarioValidationError
-from .platform import PlatformPose, check_pose
+from .platform import MAX_COORDINATE, PlatformPose, check_pose, platform_rotation
 from .spherical import (
-    MAX_COORDINATE,
     IkBranch,
     SphericalGeometry,
     SphericalJoints,
@@ -327,9 +325,8 @@ def bundled_scenario(name: str) -> Scenario:
 def endoscope_tips(plan: MotionPlan, insertion: float) -> np.ndarray:
     """Fixed-frame endoscope tip per sample for a pass-through insertion
     depth along the platform -Z' axis: position - insertion R e_z, with R e_z
-    R's last column (``platform_rotation``). It does not depend on phi, so R
-    is taken at phi = 0."""
-    r = platform_rotation(plan.pose_grid[:, 3], plan.pose_grid[:, 4], 0.0)
+    R's last column (``platform_rotation``)."""
+    r = platform_rotation(*plan.pose_grid[:, 3:].T)
     axis = np.column_stack([r[2], r[5], r[8]])
     return plan.pose_grid[:, :3] - insertion * axis
 

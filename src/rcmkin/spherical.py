@@ -10,9 +10,10 @@ that runs on floats for one configuration and on (n,) columns for a grid:
 ``insertion`` (the unit insertion direction m), ``tip_position``
 (R (offset + q3 rot_y(alpha) m) + p), ``tip_vector`` (R^T d - offset) and
 ``solve_ik`` (the closed-form IK on ``IK_SCALAR`` or ``IK_GRID``).
-``fk_tip_fixed_chain`` multiplies the 4x4 homogeneous transforms instead, in
-one function; no planner or query runs it, it is the independent route the
-oracle suite (``rcmkin validate``) checks the expansion against.
+``fk_tip_fixed_chain`` multiplies 4x4 homogeneous transforms of the (3, 3)
+builders of ``platform`` instead, in one function; no planner or query runs
+it, it is the independent route the oracle suite (``rcmkin validate``)
+checks the expansion against.
 
 The IK's checks come in two forms that read the same comparisons
 (``_ik_defects``, ``_within_travel``): ``check_ik`` raises for one solved
@@ -38,8 +39,10 @@ from .platform import (
     PlatformPose,
     PortSide,
     check_pose,
+    euler_xyz,
+    rot_x,
+    rot_y,
 )
-from .transforms import euler_xyz, rot_x, rot_y
 
 #: Relative slack on |sin q2| <= cos(beta) before a tip is called unreachable.
 REACH_TOL = 1e-12
@@ -211,7 +214,7 @@ def insertion(c1, s1, c2, s2, geometry: SphericalGeometry):
 
 def tip_position(r, m, q3, geometry: SphericalGeometry, position):
     """The fixed-frame tip R (offset + q3 rot_y(alpha) m) + p, a list of
-    three entries, from R's entries ``r`` (``transforms.euler_entries``),
+    three entries, from R's entries ``r`` (``platform.euler_entries``),
     ``insertion``'s m, the insertion depth q3 (mm) and the platform position
     p (three floats, mm)."""
     ca, sa, _, _ = geometry.tilts
@@ -319,7 +322,7 @@ IK_GRID = (np.hypot, np.clip, np.arcsin, np.cos, np.arctan2, np.where)
 def tip_vector(r, d, geometry: SphericalGeometry):
     """R^T d - offset: the tip vector in the module frame, a tuple of three
     entries, for the tip at p + d (``d`` three floats, mm) under the platform
-    rotation's entries ``r`` (``transforms.euler_entries``)."""
+    rotation's entries ``r`` (``platform.euler_entries``)."""
     r11, r12, r13, r21, r22, r23, r31, r32, r33 = r
     dx, dy, dz = d
     ox, oy, oz = geometry.offset

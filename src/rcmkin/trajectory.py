@@ -4,10 +4,12 @@ The reorientation planner (type 4) tilts the platform by (delta_psi,
 delta_theta) while every configured instrument holds its tip position:
 joints come from closed-form IK at every sample (drift free), rates and
 accelerations from the velocity relation taken in the platform frame, where
-it is a closed-form 3x3 system per sample (``differential.hold_motion``);
-B and B-dot are its oracle in the tests. Insertion (type 2) and joint-space
-(type 3) planners run plain synchronized trapezoids without compensation
-and without building B; their tips come from ``spherical.tip_position``.
+it is a closed-form 3x3 system per sample (``differential.hold_motion``)
+over the platform's rotation and spin (``platform.platform_rotation``,
+``platform_spin``); B and B-dot are its oracle in the tests. Insertion
+(type 2) and joint-space (type 3) planners run plain synchronized
+trapezoids without compensation and without building B; their tips come
+from ``spherical.tip_position``.
 
 Both planners evaluate the time grid as array kernels, not sample by
 sample, in blocks of at most ``_BLOCK`` samples so that memory stays bounded
@@ -51,13 +53,11 @@ from .differential import (
     check_nonsingular,
     check_same_sign,
     hold_motion,
-    platform_rotation,
-    platform_spin,
     signed_measure,
     singular_faults,
 )
 from .errors import InvalidLimitsError, KinematicsError, ProfileRangeError
-from .platform import PlatformPose, check_pose, near_gimbal
+from .platform import PlatformPose, check_pose, near_gimbal, platform_rotation, platform_spin
 from .spherical import (
     IK_GRID,
     IkBranch,
@@ -222,7 +222,6 @@ def sample_profile(profile: TrapezoidProfile, t):
 class InstrumentTrack:
     """Per-instrument time histories of one plan (rows align with the grid)."""
 
-    name: str
     geometry: SphericalGeometry
     joints: np.ndarray  # (n, 3): q1, q2 in deg, q3 in mm
     rates: np.ndarray  # (n, 3): deg/s, deg/s, mm/s
@@ -242,7 +241,6 @@ class MotionPlan:
     """
 
     kind: MotionType
-    dt: float
     time: np.ndarray  # (n,) seconds
     pose_grid: np.ndarray  # (n, 6): x, y, z in mm, psi, theta, phi in deg
     pose_rates: np.ndarray  # (n, 2): psi_dot, theta_dot in deg/s
@@ -368,7 +366,7 @@ def plan_type4(
     n = len(times)
     psi, theta = start.psi + moved[:, 0], start.theta + moved[:, 1]
     tracks = [
-        InstrumentTrack(g.side.value, g, *(np.empty((n, 3)) for _ in range(4)), np.empty(n))
+        InstrumentTrack(g, *(np.empty((n, 3)) for _ in range(4)), np.empty(n))
         for g, _ in instruments
     ]
     last_sigma, last_q2 = [None] * len(tracks), [None] * len(tracks)
@@ -417,7 +415,6 @@ def plan_type4(
 
     return MotionPlan(
         kind=MotionType.REORIENT,
-        dt=dt,
         time=times,
         pose_grid=np.column_stack(
             np.broadcast_arrays(start.x, start.y, start.z, psi, theta, start.phi)
@@ -439,6 +436,7 @@ def _plan_joint_space(
 ) -> MotionPlan:
     """Shared body of the insertion and joint-space planners."""
     check_pose(pose)
+    check_coordinates(pose.position)
     check_joints(start, geometry)
     check_joints(target, geometry)
     times, moved, rates, accels = _synchronized(
@@ -465,15 +463,12 @@ def _plan_joint_space(
 
     return MotionPlan(
         kind=kind,
-        dt=dt,
         time=times,
         pose_grid=np.tile([pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi], (n, 1)),
         pose_rates=np.zeros((n, 2)),
         pose_accels=np.zeros((n, 2)),
         instruments=(
-            InstrumentTrack(
-                geometry.side.value, geometry, grid, rates, accels, tip, np.abs(sigma)
-            ),
+            InstrumentTrack(geometry, grid, rates, accels, tip, np.abs(sigma)),
         ),
     )
 

@@ -7,12 +7,13 @@ one generator call per field (``_draw``), and runs both routes on the
 columns at once, except that dual-path-fk runs its second route once per
 configuration:
 
-- euler-quaternion: ``transforms.euler_entries`` against the rotation
+- euler-quaternion: ``platform.euler_entries`` against the rotation
   rebuilt by quaternion composition (``euler_quaternion_oracle``);
 - euler-roundtrip: angle extraction (``_euler_xyz_angles``) inverts
   ``euler_entries`` away from the degeneracy;
-- dual-path-fk: the direction-cosine tip map (``spherical.insertion``,
-  ``tip_position``) against the homogeneous chain ``fk_tip_fixed_chain``;
+- dual-path-fk: the direction-cosine tip map (``platform_rotation``,
+  ``spherical.insertion``, ``tip_position``) against the homogeneous chain
+  ``fk_tip_fixed_chain``;
 - fk-ik-roundtrip: ``tip_position``, ``tip_vector`` and ``solve_ik`` on
   ``IK_GRID`` return the sampled tip; a sample ``ik_faults`` rejects, or a
   branch flip, reads inf;
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import differential
 from .differential import InputRates
-from .platform import PlatformPose
+from .platform import PlatformPose, euler_entries, platform_rotation
 from .spherical import (
     IK_GRID,
     IkBranch,
@@ -54,7 +55,6 @@ from .spherical import (
     tip_position,
     tip_vector,
 )
-from .transforms import euler_entries
 
 DEFAULT_SEED = 20240901
 
@@ -221,11 +221,6 @@ def _euler(angles: np.ndarray) -> tuple:
     return euler_entries(c[0], s[0], c[1], s[1], c[2], s[2])
 
 
-def _rotation(pose: np.ndarray) -> tuple:
-    """R's nine entries for pose rows (x, y, z, psi, theta, phi; mm and deg)."""
-    return _euler(np.radians(pose[3:]))
-
-
 def _tip(r, pose: np.ndarray, joints: np.ndarray, geometry) -> np.ndarray:
     """The fixed-frame tip (``insertion``, ``tip_position``), rows (3, ...),
     under R's entries ``r`` and pose rows ``pose``, for joint rows (q1, q2,
@@ -269,7 +264,7 @@ def check_dual_path_fk(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleResult
     """Direction-cosine expansion against homogeneous-chain evaluation."""
     rng = np.random.default_rng(seed + 2)
     poses, shapes, joints = _draw_configurations(rng, n)
-    tips = _tip(_rotation(poses), poses, joints, _Geometries(*shapes))
+    tips = _tip(platform_rotation(*poses[3:]), poses, joints, _Geometries(*shapes))
     chain = [fk_tip_fixed_chain(*config) for config in _objects(poses, shapes, joints)]
     diff = np.abs(tips.T - np.reshape(chain, (n, 3)))
     return OracleResult("dual-path-fk", _largest(diff), 1e-12, n)
@@ -279,7 +274,7 @@ def check_fk_ik_roundtrip(n: int = 10000, seed: int = DEFAULT_SEED) -> OracleRes
     """FK of the IK solution returns the sampled tip; principal branch only."""
     rng = np.random.default_rng(seed + 3)
     poses, shapes, joints = _draw_configurations(rng, n)
-    g, r = _Geometries(*shapes), _rotation(poses)
+    g, r = _Geometries(*shapes), platform_rotation(*poses[3:])
     tips = _tip(r, poses, joints, g)
     solved, faults = _closed_form_ik(r, poses, tips, g)
     flips = np.abs(solved[1] - joints[1]) > 1e-6
@@ -318,7 +313,7 @@ def _finite_difference_b(pose, joints, geometry, step: float = 1e-6) -> np.ndarr
         h = step if row == 8 else math.degrees(step)
         moves[row, 2 * k], moves[row, 2 * k + 1] = h, -h
     moved = inputs[:, None] + moves
-    tips = _tip(_rotation(moved[:6]), moved[:6], moved[6:], geometry)
+    tips = _tip(platform_rotation(*moved[3:6]), moved[:6], moved[6:], geometry)
     return (tips[:, 0::2] - tips[:, 1::2]) / (2 * step)
 
 
@@ -429,7 +424,7 @@ def check_numeric_ik(n: int = 100, seed: int = DEFAULT_SEED) -> OracleResult:
     """
     rng = np.random.default_rng(seed + 5)
     poses, shapes, joints = _draw_configurations(rng, n, margin=20.0)
-    g, r = _Geometries(*shapes), _rotation(poses)
+    g, r = _Geometries(*shapes), platform_rotation(*poses[3:])
     tips = _tip(r, poses, joints, g)
     closed, faults = _closed_form_ik(r, poses, tips, g)
     if faults.any():

@@ -11,9 +11,14 @@ from rcmkin import (
     left_geometry,
     right_geometry,
 )
-from rcmkin.platform import GIMBAL_MARGIN_DEG, check_pose, near_gimbal
+from rcmkin.platform import (
+    GIMBAL_MARGIN_DEG,
+    check_pose,
+    euler_xyz,
+    near_gimbal,
+    platform_rotation,
+)
 from rcmkin.spherical import fk_tip_fixed_chain
-from rcmkin.transforms import euler_xyz
 
 
 def _euler_entries(psi, theta, phi):
@@ -46,6 +51,19 @@ def test_demo_pose_translation_column(demo_pose):
 def test_demo_pose_rotation_block_matches_direction_cosines(demo_pose):
     expected = _euler_entries(*demo_pose.angles_rad)
     assert np.abs(euler_xyz(*demo_pose.angles_rad) - expected).max() < 1e-15
+
+
+def test_platform_rotation_on_columns_equals_rotation_entries(rng):
+    # psi, theta and phi as pose columns give each pose's R, as the scalar
+    # queries read it.
+    columns = rng.uniform([[-80.0], [-80.0], [-180.0]], [[80.0], [80.0], [180.0]], (3, 200))
+    grid = np.array(platform_rotation(*columns))
+    poses = [PlatformPose(0.0, 0.0, 0.0, *angles) for angles in columns.T.tolist()]
+    entries = np.array([pose.rotation_entries for pose in poses]).T
+    assert np.abs(grid - entries).max() <= 1e-15
+    # A float phi is the constant phi column.
+    held = platform_rotation(columns[0], columns[1], 30.0)
+    assert np.array_equal(held, platform_rotation(columns[0], columns[1], np.full(200, 30.0)))
 
 
 def test_gimbal_guard():

@@ -20,7 +20,7 @@ from rcmkin import (
     run_scenario,
 )
 from rcmkin import scenario as scenario_module
-from rcmkin.transforms import euler_xyz
+from rcmkin.platform import euler_xyz
 
 MINIMAL_TYPE4 = """
 motion = type4
@@ -125,7 +125,7 @@ def test_run_scenario_type2():
     plan, endo = run_scenario(sc)
     assert plan.kind is MotionType.INSERT
     assert endo is None
-    assert plan.instruments[0].name == "right"
+    assert plan.instruments[0].geometry.side is PortSide.RIGHT
     assert plan.instruments[0].joints[-1, 2] == pytest.approx(120.0, abs=1e-12)
 
 

@@ -29,7 +29,7 @@ from rcmkin.spherical import (
     ik_faults,
     joint_faults,
 )
-from rcmkin.transforms import euler_xyz
+from rcmkin.platform import euler_xyz
 from rcmkin.validation import _random_geometry, _random_joints, _random_pose, _worse
 
 # Joints reaching the demo tip (50, -50, -620) from the demo pose, frozen

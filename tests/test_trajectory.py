@@ -8,6 +8,7 @@ from rcmkin import (
     InvalidLimitsError,
     JointLimitError,
     PlatformPose,
+    PortSide,
     ProfileLimits,
     ProfileRangeError,
     ProfileShape,
@@ -234,7 +235,7 @@ def test_type4_two_instruments(demo_pose, demo_limits):
     tips = [np.array([50.0, -50.0, -620.0]), np.array([-20.0, -50.0, -620.0])]
     plan = plan_type4(demo_pose, 15.0, 25.0, demo_limits, 0.05,
                       [(left, tips[0]), (right, tips[1])])
-    assert [t.name for t in plan.instruments] == ["left", "right"]
+    assert [t.geometry.side for t in plan.instruments] == [PortSide.LEFT, PortSide.RIGHT]
     for track, tip in zip(plan.instruments, tips):
         assert np.abs(track.tip - tip).max() <= 1e-9
 
@@ -311,6 +312,23 @@ def test_type4_unreachable_cone(demo_limits):
     g = left_geometry(alpha=0.0, beta=10.0)
     with pytest.raises(UnreachableError):
         plan_type4(pose, 5.0, 5.0, demo_limits, 0.01, [(g, np.array([90.0, 0.0, -500.0]))])
+
+
+@pytest.mark.parametrize("planner", [plan_type2_insert, plan_type3_manipulate])
+@pytest.mark.parametrize("x, rejected", [(1e300, True), (1e299, False)])
+def test_joint_space_planners_bound_the_platform_position(demo_geometry, planner, x, rejected):
+    # The bound of fk_tip_fixed and plan_type4, checked before sampling.
+    pose, start = PlatformPose(x, 0, -500, 0, 0, 0), SphericalJoints(0.0, 0.0, 100.0)
+    target = 150.0 if planner is plan_type2_insert else SphericalJoints(5.0, 0.0, 150.0)
+    args = (pose, start, target, demo_geometry, ProfileLimits(20.0, 10.0), 0.1)
+    if rejected:
+        with pytest.raises(UnreachableError, match=r"finite and below 1e\+300 mm") as error:
+            planner(*args)
+        assert error.value.sample_time is None
+    else:
+        # The port offset and the arm vanish next to 1e299 mm: x is carried exactly.
+        tip = planner(*args).instruments[0].tip
+        assert np.isfinite(tip).all() and (tip[:, 0] == x).all()
 
 
 def test_type2_insertion_monotone(demo_pose, demo_geometry):

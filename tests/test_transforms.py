@@ -4,7 +4,7 @@ import numpy as np
 from conftest import is_rotation
 
 from rcmkin import PlatformPose, SphericalJoints, left_geometry
-from rcmkin import transforms as tf
+from rcmkin import platform as tf
 from rcmkin.spherical import fk_tip_fixed_chain
 from rcmkin.validation import _euler_xyz_angles, _worse, euler_quaternion_oracle
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcmkin import differential, validation
-from rcmkin.platform import PlatformPose
+from rcmkin.platform import PlatformPose, platform_rotation
 from rcmkin.spherical import (
     IK_GRID,
     IkBranch,
@@ -277,7 +277,7 @@ def test_column_bodies_equal_the_scalar_queries(rows, branch):
     # the mirror branch, so angles are compared modulo 360 deg.
     columns = np.array(rows).T
     poses, shapes, joints = columns[:6], columns[6:9], columns[9:]
-    g, r = validation._Geometries(*shapes), validation._rotation(poses)
+    g, r = validation._Geometries(*shapes), platform_rotation(*poses[3:])
     tips = validation._tip(r, poses, joints, g)
     for i, row in enumerate(rows):
         pose = PlatformPose(*row[:6])
