@@ -25,8 +25,9 @@ block of the time grid: the platform's rotation and spin per block
 (``platform.platform_rotation`` and ``platform_spin``), ``spherical.solve_ik``
 for the joints and ``hold_motion`` for the rates, accelerations and tips, in
 closed form. The normalized singularity measure is closed-form too, |sigma|
-with sigma = -cos q2 cos beta; ``singular_faults`` flags the samples of a
-grid that ``check_nonsingular`` or ``check_same_sign`` would reject.
+with sigma = -cos q2 cos beta. Its guards, the threshold and the sign change
+between samples, are written once (``singular_guards``) for one sample and
+grid columns alike; ``check_nonsingular`` and the planners' screens read them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularConfigurationError
+from .errors import SingularConfigurationError, raise_first
 from .platform import _DEG, PlatformPose, check_pose
 from .spherical import SphericalGeometry, SphericalJoints, check_joints, insertion, tip_position
 
@@ -211,40 +212,26 @@ def signed_measure(joints: SphericalJoints, geometry: SphericalGeometry):
     return -np.cos(_DEG * joints.q2) * math.cos(math.radians(geometry.beta))
 
 
-def _singular(sigma):
-    """check_nonsingular's comparison, for a scalar or a grid; NaN passes."""
-    return abs(sigma) <= SIGMA_MIN
-
-
-def _sign_flipped(previous, sigma):
-    """check_same_sign's comparison; a zero or NaN ``previous`` passes."""
-    return sigma * previous < 0.0
+def singular_guards(sigma, before=math.nan) -> list:
+    """The guards (``errors``) of the singularity measure, in order: |sigma|
+    at or below SIGMA_MIN, then a sign change since the sample before.
+    ``sigma`` is one sample's or an (n,) column; ``before`` is the sigma of
+    the sample before it (before the column's first), NaN if none. A zero or
+    NaN on either side of a step passes, as does a NaN |sigma|."""
+    if isinstance(sigma, np.ndarray):
+        before = np.concatenate(([before], sigma[:-1]))
+    return [
+        (abs(sigma) <= SIGMA_MIN, sigma, lambda s: SingularConfigurationError(
+            f"normalized joint-block |det| = {abs(s):.3e} <= {SIGMA_MIN:g}")),
+        (sigma * before < 0.0, sigma, lambda _: SingularConfigurationError(
+            "joint-block determinant changed sign since the previous sample; "
+            "the motion crosses a singularity between samples")),
+    ]
 
 
 def check_nonsingular(sigma: float) -> None:
     """Raise SingularConfigurationError when |sigma| is at or below SIGMA_MIN."""
-    if _singular(sigma):
-        raise SingularConfigurationError(
-            f"normalized joint-block |det| = {abs(sigma):.3e} <= {SIGMA_MIN:g}"
-        )
-
-
-def check_same_sign(previous: float | None, sigma: float) -> None:
-    """Raise SingularConfigurationError when sigma changed sign since the
-    previous sample (None before the first)."""
-    if previous is not None and _sign_flipped(previous, sigma):
-        raise SingularConfigurationError(
-            "joint-block determinant changed sign since the previous "
-            "sample; the motion crosses a singularity between samples"
-        )
-
-
-def singular_faults(sigma: np.ndarray, previous: float | None) -> np.ndarray:
-    """Mask of the samples of a sigma grid (n,) that check_nonsingular or
-    check_same_sign rejects; ``previous`` is the sigma of the sample before
-    the grid, or None."""
-    before = np.concatenate(([np.nan if previous is None else previous], sigma[:-1]))
-    return _singular(sigma) | _sign_flipped(before, sigma)
+    raise_first(singular_guards(sigma))
 
 
 def jacobians(

@@ -1,4 +1,12 @@
-"""Exception types shared by the kinematics and planning modules."""
+"""Exception types shared by the kinematics and planning modules, and the
+readers of a guard: a rejection rule written once, as a triple (flags,
+values, error) over one sample or a grid's (n,) columns. ``flags`` marks the
+rejected samples; ``error(value)`` builds the exception from a sample's entry
+of ``values``. A guard list holds a limit's guards in check order.
+"""
+
+from functools import reduce
+from operator import or_
 
 
 class KinematicsError(Exception):
@@ -6,6 +14,12 @@ class KinematicsError(Exception):
 
     #: Time of the motion-plan sample that triggered the failure, if any.
     sample_time: float | None = None
+
+    def at_sample(self, t: float) -> "KinematicsError":
+        """This error as raised at the motion-plan sample of time t (s)."""
+        timed = type(self)(f"at sample t = {t:.9g} s: {self}")
+        timed.sample_time = t
+        return timed
 
 
 class GimbalProximityError(KinematicsError):
@@ -55,3 +69,16 @@ class ScenarioValidationError(ScenarioError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def raise_first(guards) -> None:
+    """Raise the error of the first guard in ``guards`` that flags its one
+    sample."""
+    for flags, value, error in guards:
+        if flags:
+            raise error(value)
+
+
+def rejected(guards):
+    """The samples of a grid that any guard in ``guards`` flags."""
+    return reduce(or_, [flags for flags, _, _ in guards])

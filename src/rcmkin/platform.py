@@ -4,7 +4,7 @@ The platform carries the endoscope through its reference point and the two
 instrument RCM ports offset along its X' axis (each module's
 ``SphericalGeometry.offset`` and ``side``). Poses are position (mm) plus
 X-Y-Z Euler angles (degrees); the pitch angle is kept away from +/-90 deg
-where that parametrization degenerates.
+where that parametrization degenerates (``gimbal_guard``).
 
 The rotation R = rot_x(psi) rot_y(theta) rot_z(phi) is written once, as the
 arithmetic of its direction cosines (``euler_entries``), which runs alike on
@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GimbalProximityError
+from .errors import GimbalProximityError, raise_first
 
 #: Degrees of clearance required between |theta| and the 90 deg degeneracy.
 GIMBAL_MARGIN_DEG = 1e-3
@@ -156,16 +156,17 @@ class PlatformPose:
         )
 
 
-def near_gimbal(theta):
-    """Whether a pitch (deg) sits within the gimbal margin of +/-90 deg; a
-    grid of pitches gives a mask. check_pose and the planners' screens read it."""
-    return abs(theta) >= 90.0 - GIMBAL_MARGIN_DEG
+def _gimbal_error(t) -> GimbalProximityError:
+    return GimbalProximityError(
+        f"|theta| = {abs(t):.6g} deg is within {GIMBAL_MARGIN_DEG:g} deg of the 90 deg degeneracy")
+
+
+def gimbal_guard(theta):
+    """The guard (``errors``) on a pitch (deg), a float or a grid column,
+    within the gimbal margin of +/-90 deg."""
+    return abs(theta) >= 90.0 - GIMBAL_MARGIN_DEG, theta, _gimbal_error
 
 
 def check_pose(pose: PlatformPose) -> None:
     """Raise when the pose pitch sits within the gimbal margin of +/-90 deg."""
-    if near_gimbal(pose.theta):
-        raise GimbalProximityError(
-            f"|theta| = {abs(pose.theta):.6g} deg is within "
-            f"{GIMBAL_MARGIN_DEG:g} deg of the 90 deg degeneracy"
-        )
+    raise_first((gimbal_guard(pose.theta),))

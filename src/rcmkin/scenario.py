@@ -36,8 +36,9 @@ Keys (defaults in parentheses; lengths in mm, angles in degrees):
     target_q3    insertion target               type 2
     target_joints Q1 Q2 Q3                      type 3
 
-    endoscope_insertion   optional pass-through endoscope depth; adds
-                          endoscope tip columns to the CSV
+    endoscope_insertion   optional pass-through endoscope depth in
+                          [0, MAX_COORDINATE) mm; adds endoscope tip
+                          columns to the CSV
 
 For type 2 the limits apply to the insertion joint and are read as mm/s and
 mm/s^2; for type 3 they apply per joint in that joint's units. The endoscope
@@ -269,10 +270,15 @@ def _build_scenario(kv: _KeyValues) -> Scenario:
         endoscope_insertion=kv.number("endoscope_insertion", None),
         output=output,
     )
-    if scenario.endoscope_insertion is not None and scenario.endoscope_insertion < 0:
-        raise ScenarioValidationError(
-            "endoscope_insertion must be non-negative", "endoscope_insertion"
-        )
+    if scenario.endoscope_insertion is not None:
+        if scenario.endoscope_insertion < 0:
+            raise ScenarioValidationError(
+                "endoscope_insertion must be non-negative", "endoscope_insertion"
+            )
+        if not scenario.endoscope_insertion < MAX_COORDINATE:
+            raise ScenarioValidationError(
+                f"endoscope_insertion must be below {MAX_COORDINATE:g} mm", "endoscope_insertion"
+            )
 
     if motion is MotionType.REORIENT:
         for name in ("left", "right"):

@@ -15,10 +15,10 @@ builders of ``platform`` instead, in one function; no planner or query runs
 it, it is the independent route the oracle suite (``rcmkin validate``)
 checks the expansion against.
 
-The IK's checks come in two forms that read the same comparisons
-(``_ik_defects``, ``_within_travel``): ``check_ik`` raises for one solved
-sample, ``ik_faults`` flags the samples of a grid that ``check_ik`` would
-reject.
+The IK's checks are written once, as guard lists (``errors``) over one
+solved sample or grid columns: ``joint_guards`` for the travels and
+``ik_guards`` for the IK. ``check_joints`` and ``check_ik`` raise the first
+that a configuration fails; the planners' screens read the same lists.
 
 Interface units are degrees and millimetres; radians appear only internally.
 """
@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, JointLimitError, UnreachableError
+from .errors import DegenerateInputError, JointLimitError, UnreachableError, raise_first
 from .platform import (
     DEFAULT_PORT_SPACING,
     MAX_COORDINATE,
@@ -169,40 +169,25 @@ def mirrored(geometry: SphericalGeometry, negate_alpha: bool = True) -> Spherica
     return replace(geometry, offset=(-ox, oy, oz), side=side, alpha=alpha)
 
 
-def _within_travel(joints: SphericalJoints, geometry: SphericalGeometry):
-    """Flags (q1, q2, q3) of the joints inside their travels, for scalars or
-    grids alike. A joint within a relative TRAVEL_TOL of a travel end is
-    inside; NaN lies outside every travel."""
+def joint_guards(joints: SphericalJoints, geometry: SphericalGeometry) -> list:
+    """The guards (``errors``) on q1, q2 and q3 outside their travels, for
+    one configuration or grid columns alike. A joint within a relative
+    TRAVEL_TOL of a travel end is inside; NaN lies outside every travel."""
     q1_max, q2_max, q3_min, q3_max = geometry.travel
-    return (
-        abs(joints.q1) <= q1_max,
-        abs(joints.q2) <= q2_max,
-        (q3_min <= joints.q3) & (joints.q3 <= q3_max),
-    )
+    q1, q2, q3 = joints.q1, joints.q2, joints.q3
+    return [
+        ((abs(q1) <= q1_max) ^ True, q1, lambda q: JointLimitError(
+            f"q1 = {q:.14g} deg exceeds +/-{geometry.q1_limit:.14g} deg")),
+        ((abs(q2) <= q2_max) ^ True, q2, lambda q: JointLimitError(
+            f"q2 = {q:.14g} deg exceeds +/-{geometry.q2_limit:.14g} deg")),
+        (((q3_min <= q3) & (q3 <= q3_max)) ^ True, q3, lambda q: JointLimitError(
+            f"q3 = {q:.14g} mm outside [{geometry.q3_min:.14g}, {geometry.q3_max:.14g}] mm")),
+    ]
 
 
 def check_joints(joints: SphericalJoints, geometry: SphericalGeometry) -> None:
     """Raise JointLimitError naming the first joint outside its travel."""
-    q1_in, q2_in, q3_in = _within_travel(joints, geometry)
-    if not q1_in:
-        raise JointLimitError(
-            f"q1 = {joints.q1:.14g} deg exceeds +/-{geometry.q1_limit:.14g} deg"
-        )
-    if not q2_in:
-        raise JointLimitError(
-            f"q2 = {joints.q2:.14g} deg exceeds +/-{geometry.q2_limit:.14g} deg"
-        )
-    if not q3_in:
-        raise JointLimitError(
-            f"q3 = {joints.q3:.14g} mm outside "
-            f"[{geometry.q3_min:.14g}, {geometry.q3_max:.14g}] mm"
-        )
-
-
-def joint_faults(joints: SphericalJoints, geometry: SphericalGeometry) -> np.ndarray:
-    """Mask of the samples of a joint grid that check_joints rejects."""
-    q1_in, q2_in, q3_in = _within_travel(joints, geometry)
-    return ~(q1_in & q2_in & q3_in)
+    raise_first(joint_guards(joints, geometry))
 
 
 def insertion(c1, s1, c2, s2, geometry: SphericalGeometry):
@@ -268,35 +253,31 @@ def fk_tip_fixed_chain(
     return (platform @ port @ (module @ insert))[:3, 3]
 
 
-def _ik_defects(q3, sin_q2):
-    """Flags (degenerate, unreachable) of solved samples, scalars or grids:
-    q3 below MIN_TIP_NORM, |sin q2| past 1 + REACH_TOL. NaN trips neither
-    (it fails the travel check)."""
-    return q3 < MIN_TIP_NORM, abs(sin_q2) > 1.0 + REACH_TOL
+def _degenerate_error(q3) -> DegenerateInputError:
+    return DegenerateInputError(f"tip vector norm {q3:.3g} mm is below {MIN_TIP_NORM:g} mm")
+
+
+def _unreachable_error(s) -> UnreachableError:
+    return UnreachableError(f"tip direction outside the insertion cone (|sin q2| = {abs(s):.9g})")
+
+
+def ik_guards(joints: SphericalJoints, sin_q2, geometry: SphericalGeometry) -> list:
+    """The guards of the closed-form IK on solved joints and sin q2 before
+    clamping (``solve_ik``), one sample or grid columns, in order: an
+    undefined insertion direction (q3 below MIN_TIP_NORM), an unreachable tip
+    (|sin q2| past 1 + REACH_TOL), then ``joint_guards``. NaN trips neither
+    of the first two; it fails the travel."""
+    return [
+        (joints.q3 < MIN_TIP_NORM, joints.q3, _degenerate_error),
+        (abs(sin_q2) > 1.0 + REACH_TOL, sin_q2, _unreachable_error),
+        *joint_guards(joints, geometry),
+    ]
 
 
 def check_ik(joints: SphericalJoints, sin_q2: float, geometry: SphericalGeometry) -> None:
-    """The checks of the closed-form IK on one solved sample, in order: a
-    defined insertion direction, a reachable tip, joints within travel."""
-    degenerate, unreachable = _ik_defects(joints.q3, sin_q2)
-    if degenerate:
-        raise DegenerateInputError(
-            f"tip vector norm {joints.q3:.3g} mm is below {MIN_TIP_NORM:g} mm"
-        )
-    if unreachable:
-        raise UnreachableError(
-            f"tip direction outside the insertion cone (|sin q2| = {abs(sin_q2):.9g})"
-        )
-    check_joints(joints, geometry)
-
-
-def ik_faults(
-    joints: SphericalJoints, sin_q2: np.ndarray, geometry: SphericalGeometry
-) -> np.ndarray:
-    """Mask of the samples of a grid IK solution (``solve_ik`` on
-    ``IK_GRID``) that check_ik rejects."""
-    degenerate, unreachable = _ik_defects(joints.q3, sin_q2)
-    return degenerate | unreachable | joint_faults(joints, geometry)
+    """Raise the first failing check of the closed-form IK on one solved
+    sample (``ik_guards``)."""
+    raise_first(ik_guards(joints, sin_q2, geometry))
 
 
 def check_coordinates(*points: np.ndarray) -> None:
@@ -336,7 +317,7 @@ def tip_vector(r, d, geometry: SphericalGeometry):
 def solve_ik(v, geometry: SphericalGeometry, branch: IkBranch, ops) -> tuple:
     """Unchecked closed-form joints (deg, mm) for the tip vector v (three
     entries, mm, in the module frame), and sin q2 before clamping for
-    check_ik or ik_faults; ``ops`` is IK_SCALAR or IK_GRID. A rejected tip
+    ``ik_guards``; ``ops`` is IK_SCALAR or IK_GRID. A rejected tip
     gets arbitrary joints.
 
     q3 is the tip distance. Rotating the unit insertion direction back by

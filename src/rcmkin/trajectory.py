@@ -25,50 +25,45 @@ which cos q2 keeps its sign, so only the |sigma| threshold can fire there.
 The IK wraps q2 into (-180, 180]; on the mirror branch a type 4 plan
 unwraps it by whole turns against the sample before, so q2 stays continuous
 through +/-180 deg and is screened against its travel as it moves. The
-screens are masks that share their comparisons with the checks
-(``ik_faults``, ``joint_faults``, ``singular_faults``, ``near_gimbal``). A
-type 2/3 joint grid exists before any kinematics runs, so it is screened
-once, whole, before any tip is computed. A type 4 plan solves IK block by
-block and screens each block as it is solved, with sigma's sign and q2
-carried across blocks; a block's rates, accelerations and tips are computed
-only after it passes, and are screened in turn for values past the float
-range (limits near 1e308 can give them). The earliest flagged sample wins,
-at equal samples the first instrument, and its checks are replayed on its
-grid values inside ``_at_sample``: a rejection raises the error, message
-and sample time that checking sample by sample would.
+screens read the guard lists that the scalar checks read
+(``platform.gimbal_guard``, ``spherical.ik_guards`` and ``joint_guards``,
+``differential.singular_guards``), one list per instrument over its grid
+columns. A type 2/3 joint grid exists before any kinematics runs, so it is
+screened once, whole, before any tip is computed. A type 4 plan solves IK
+block by block and screens each block as it is solved, with sigma's sign and
+q2 carried across blocks; a block's rates, accelerations and tips are
+computed only after it passes, and are screened in turn for values past the
+float range (limits near 1e308 can give them). ``_screen`` raises the error
+of the earliest flagged sample, at equal samples the first instrument's, and
+within that instrument's list the first guard's: the error, message and
+sample time that checking sample by sample would.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 import numpy as np
 
-from .differential import (
-    check_nonsingular,
-    check_same_sign,
-    hold_motion,
-    signed_measure,
-    singular_faults,
-)
-from .errors import InvalidLimitsError, KinematicsError, ProfileRangeError
-from .platform import PlatformPose, check_pose, near_gimbal, platform_rotation, platform_spin
+from .differential import hold_motion, signed_measure, singular_guards
+from .errors import InvalidLimitsError, ProfileRangeError, rejected
+from .platform import PlatformPose, check_pose, gimbal_guard, platform_rotation, platform_spin
 from .spherical import (
     IK_GRID,
     IkBranch,
     SphericalGeometry,
     SphericalJoints,
     check_coordinates,
-    check_ik,
     check_joints,
-    ik_faults,
+    ik_guards,
     insertion,
-    joint_faults,
+    joint_guards,
     solve_ik,
     tip_position,
     tip_vector,
@@ -277,24 +272,6 @@ def time_grid(t_total: float, dt: float) -> np.ndarray:
     return times
 
 
-@contextmanager
-def _at_sample(t: float):
-    """Replay the checks of a flagged sample: the first failing check is
-    re-raised with the sample time. One of them must fail."""
-    try:
-        yield
-    except KinematicsError as exc:
-        wrapped = type(exc)(f"at sample t = {t:.9g} s: {exc}")
-        wrapped.sample_time = t
-        try:
-            raise wrapped from None
-        finally:
-            # Its traceback holds this frame, and through it the planner's frame
-            # and grids: drop the local so no cycle waits for the cyclic GC.
-            wrapped = None
-    raise AssertionError(f"sample t = {t!r} s was flagged but passed its checks")
-
-
 def _synchronized(deltas: Sequence[float], limits: ProfileLimits, dt: float):
     """One trapezoid per displacement, each stretched to the slowest one's
     duration, sampled on their time grid: the times (n,) and the
@@ -307,20 +284,19 @@ def _synchronized(deltas: Sequence[float], limits: ProfileLimits, dt: float):
     return (times, *(np.column_stack(columns) for columns in zip(*sampled)))
 
 
-def _first_fault(faults: list[np.ndarray]) -> tuple[int, int] | None:
-    """(sample, instrument) of the earliest sample flagged in one mask per
-    instrument; at equal samples the first instrument. None if none is."""
-    if not faults:
-        return None
-    flagged = np.stack(faults, axis=1)
-    rows = np.flatnonzero(flagged.any(axis=1))
-    if rows.size == 0:
-        return None
-    return rows[0], int(np.argmax(flagged[rows[0]]))
-
-
-def _row(joints: SphericalJoints, i: int) -> SphericalJoints:
-    return SphericalJoints(joints.q1[i], joints.q2[i], joints.q3[i])
+def _screen(times: np.ndarray, guards: list[list]) -> None:
+    """Raise the error of the earliest sample flagged by ``guards``, one guard
+    list (``errors``) per instrument over the columns of ``times``: at that
+    sample the first instrument's, and in its list the first guard's."""
+    masks = [rejected(instrument) for instrument in guards]
+    flagged = reduce(or_, masks)
+    if not flagged.any():
+        return
+    i = int(np.argmax(flagged))
+    k = next(k for k, mask in enumerate(masks) if mask[i])
+    values, error = next((values, error) for flags, values, error in guards[k] if flags[i])
+    # No local may hold the error: its traceback holds this frame (a cycle).
+    raise error(values[i]).at_sample(times[i])
 
 
 def _unwrapped(q2: np.ndarray, previous: float | None) -> np.ndarray:
@@ -329,13 +305,6 @@ def _unwrapped(q2: np.ndarray, previous: float | None) -> np.ndarray:
     steps = np.diff(q2, prepend=q2[0] if previous is None else previous)
     turns = np.round(steps / 360.0).cumsum()
     return q2 - 360.0 * turns if turns.any() else q2
-
-
-def _guard(sigma: np.ndarray, i: int, previous: float | None) -> None:
-    """The singularity guard of sample i of a sigma grid; ``previous`` is the
-    sigma before the grid's first sample."""
-    check_nonsingular(sigma[i])
-    check_same_sign(previous if i == 0 else sigma[i - 1], sigma[i])
 
 
 def plan_type4(
@@ -369,45 +338,36 @@ def plan_type4(
         InstrumentTrack(g, *(np.empty((n, 3)) for _ in range(4)), np.empty(n))
         for g, _ in instruments
     ]
-    last_sigma, last_q2 = [None] * len(tracks), [None] * len(tracks)
+    last_sigma, last_q2 = [math.nan] * len(tracks), [None] * len(tracks)
 
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         rotation = platform_rotation(psi[block], theta[block], start.phi)
-        gimbal = near_gimbal(theta[block])
-        solved = []
+        gimbal = gimbal_guard(theta[block])
+        solved, guards = [], []
         for track, d, previous, q2_before in zip(tracks, offsets, last_sigma, last_q2):
             v = tip_vector(rotation, d, track.geometry)
             joints, sin_q2 = solve_ik(v, track.geometry, branch, IK_GRID)
             if branch is IkBranch.MIRROR:  # a principal q2 stays within +/-90 deg
                 joints = replace(joints, q2=_unwrapped(joints.q2, q2_before))
             sigma = signed_measure(joints, track.geometry)
-            faults = (
-                gimbal
-                | ik_faults(joints, sin_q2, track.geometry)
-                | singular_faults(sigma, previous)
-            )
-            solved.append((joints, sin_q2, sigma, faults))
-
-        hit = _first_fault([faults for *_, faults in solved])
-        if hit is not None:
-            i, k = hit
-            joints, sin_q2, sigma, _ = solved[k]
-            with _at_sample(times[lo + i]):
-                check_pose(replace(start, psi=psi[lo + i], theta=theta[lo + i]))
-                check_ik(_row(joints, i), sin_q2[i], tracks[k].geometry)
-                _guard(sigma, i, last_sigma[k])
+            solved.append((joints, sigma))
+            guards.append([
+                gimbal,
+                *ik_guards(joints, sin_q2, track.geometry),
+                *singular_guards(sigma, previous),
+            ])
+        _screen(times[block], guards)
 
         with np.errstate(over="ignore", invalid="ignore"):  # screened just below
             spin = platform_spin(theta[block], start.phi, pose_rates[block], pose_accels[block])
             motions = [hold_motion(rotation, spin, joints, track.geometry, position)
-                       for track, (joints, *_) in zip(tracks, solved)]
-        hit = _first_fault([~np.isfinite(np.hstack(motion[:2])).all(axis=1) for motion in motions])
-        if hit is not None:
-            with _at_sample(times[lo + hit[0]]):
-                raise InvalidLimitsError("joint rates or accelerations exceed the float "
-                                         "range; lower omega_max or eps_max")
-        for k, (track, (joints, _, sigma, _), motion) in enumerate(zip(tracks, solved, motions)):
+                       for track, (joints, _) in zip(tracks, solved)]
+        beyond_floats = [np.isfinite(np.hstack(m[:2])).all(axis=1) ^ True for m in motions]
+        _screen(times[block], [[(flags, flags, lambda _: InvalidLimitsError(
+            "joint rates or accelerations exceed the float range; lower omega_max or eps_max"
+        ))] for flags in beyond_floats])
+        for k, (track, (joints, sigma), motion) in enumerate(zip(tracks, solved, motions)):
             track.joints[block] = np.column_stack([joints.q1, joints.q2, joints.q3])
             track.rates[block], track.accels[block], track.tip[block] = motion
             track.sing[block] = np.abs(sigma)
@@ -446,12 +406,7 @@ def _plan_joint_space(
     grid = np.array([start.q1, start.q2, start.q3]) + moved
     joints = SphericalJoints(*grid.T)
     sigma = signed_measure(joints, geometry)
-    faults = joint_faults(joints, geometry) | singular_faults(sigma, None)
-    if faults.any():
-        i = int(np.argmax(faults))
-        with _at_sample(times[i]):
-            check_joints(_row(joints, i), geometry)
-            _guard(sigma, i, None)
+    _screen(times, [joint_guards(joints, geometry) + singular_guards(sigma)])
 
     r, position = pose.rotation_entries, (pose.x, pose.y, pose.z)
     tip = np.empty((n, 3))

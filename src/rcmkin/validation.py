@@ -15,8 +15,8 @@ configuration:
   ``spherical.insertion``, ``tip_position``) against the homogeneous chain
   ``fk_tip_fixed_chain``;
 - fk-ik-roundtrip: ``tip_position``, ``tip_vector`` and ``solve_ik`` on
-  ``IK_GRID`` return the sampled tip; a sample ``ik_faults`` rejects, or a
-  branch flip, reads inf;
+  ``IK_GRID`` return the sampled tip; a sample that ``ik_guards`` rejects,
+  or a branch flip, reads inf;
 - jacobian-fd: the analytic B (``differential._relation``, the body of
   ``jacobians``) against central finite differences of the column tip map;
 - jacobian-rate-fd: the analytic B-dot (the body of ``jacobian_rate``)
@@ -41,6 +41,7 @@ import numpy as np
 
 from . import differential
 from .differential import InputRates
+from .errors import rejected
 from .platform import PlatformPose, euler_entries, platform_rotation
 from .spherical import (
     IK_GRID,
@@ -48,7 +49,7 @@ from .spherical import (
     SphericalGeometry,
     SphericalJoints,
     fk_tip_fixed_chain,
-    ik_faults,
+    ik_guards,
     insertion,
     left_geometry,
     solve_ik,
@@ -203,7 +204,7 @@ def _objects(poses: np.ndarray, shapes: np.ndarray, joints: np.ndarray) -> zip:
 class _Geometries:
     """Stand-in for ``left_geometry(alpha, beta, spacing)`` over (n,) columns:
     the ``tilts`` and ``offset`` that the tip, IK and B bodies read, as
-    columns, and the ``travel`` that ``ik_faults`` reads (every drawn
+    columns, and the ``travel`` that ``ik_guards`` reads (every drawn
     geometry has the default travels)."""
 
     def __init__(self, alpha, beta, spacing):
@@ -233,11 +234,12 @@ def _tip(r, pose: np.ndarray, joints: np.ndarray, geometry) -> np.ndarray:
 
 def _closed_form_ik(r, pose: np.ndarray, tips: np.ndarray, geometry) -> tuple:
     """Principal-branch joint rows (3, n) for tip rows, and the mask of the
-    configurations ``ik_faults`` rejects."""
+    configurations that ``ik_guards`` rejects."""
     solved, sin_q2 = solve_ik(
         tip_vector(r, tips - pose[:3], geometry), geometry, IkBranch.PRINCIPAL, IK_GRID
     )
-    return np.array([solved.q1, solved.q2, solved.q3]), ik_faults(solved, sin_q2, geometry)
+    faults = rejected(ik_guards(solved, sin_q2, geometry))
+    return np.array([solved.q1, solved.q2, solved.q3]), faults
 
 
 # --- checks -----------------------------------------------------------------

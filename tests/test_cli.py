@@ -300,7 +300,8 @@ def test_ik_far_tip_reports_its_finite_distance(capsys):
     ["pose = -1e308 0 -500 0 0 0\ntip_left = 1.7e308 1.7e308 0",
      "pose = 0 0 -500 0 0 0\ntip_left = 1e300 0 0",
      "pose = 0 0 -500 0 0 0\ntip_left = 50 -50 -620\nport_spacing = 1e300",
-     "pose = 0 0 -500 0 0 0\ntip_left = 50 -50 -620\nq3_max = 1e300"],
+     "pose = 0 0 -500 0 0 0\ntip_left = 50 -50 -620\nq3_max = 1e300",
+     "pose = 0 0 -500 0 0 0\ntip_left = 50 -50 -620\nendoscope_insertion = 1e300"],
 )
 def test_run_rejects_coordinates_that_could_overflow(tmp_path, capsys, coordinates):
     scenario = tmp_path / "far.cfg"

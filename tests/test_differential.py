@@ -18,7 +18,8 @@ from rcmkin import (
     left_geometry,
     mirrored,
 )
-from rcmkin.differential import check_nonsingular, check_same_sign, singular_faults
+from rcmkin.differential import singular_guards
+from rcmkin.errors import raise_first, rejected
 from rcmkin.validation import (
     _random_geometry,
     _random_joints,
@@ -258,12 +259,11 @@ _FLIPPED = ("joint-block determinant changed sign since the previous sample; "
     ],
 )
 def test_singularity_checks_and_singular_faults_agree_at_the_edges(previous, sigma, error):
-    assert singular_faults(np.array([sigma]), previous).tolist() == [error is not None]
+    before = math.nan if previous is None else previous
+    assert rejected(singular_guards(np.array([sigma]), before)).tolist() == [error is not None]
     if error is None:
-        check_nonsingular(sigma)
-        check_same_sign(previous, sigma)
+        raise_first(singular_guards(sigma, before))
     else:
         with pytest.raises(SingularConfigurationError) as err:
-            check_nonsingular(sigma)
-            check_same_sign(previous, sigma)
+            raise_first(singular_guards(sigma, before))
         assert str(err.value) == error

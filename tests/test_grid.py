@@ -8,6 +8,7 @@ reproduce their rows, and their rejections byte for byte (on random plans,
 up to the last printed digit of a joint value).
 """
 
+import math
 import re
 import sys
 from contextlib import contextmanager
@@ -45,7 +46,8 @@ from rcmkin import (
     stretch_profile,
 )
 from rcmkin import trajectory
-from rcmkin.differential import check_nonsingular, check_same_sign, signed_measure
+from rcmkin.differential import signed_measure, singular_guards
+from rcmkin.errors import raise_first
 from rcmkin.trajectory import _BLOCK, time_grid
 from rcmkin.validation import finite_difference_b
 
@@ -79,7 +81,7 @@ def _reference_type4(
     sample before, and the unwrapped joints are checked against the travel."""
     (p_psi, p_theta), t_total = _synchronized((delta_psi, delta_theta), limits)
     rows = [[] for _ in instruments]
-    previous = [None] * len(instruments)
+    previous = [math.nan] * len(instruments)
     last_q2 = [None] * len(instruments)
     for t in time_grid(t_total, dt):
         s_psi, v_psi, a_psi = sample_profile(p_psi, t)
@@ -93,8 +95,7 @@ def _reference_type4(
                     joints = replace(joints, q2=joints.q2 - 360.0 * turns)
                 last_q2[k] = joints.q2
                 pair = jacobians(pose, joints, geometry)  # checks the joints first
-                check_nonsingular(pair.sigma)
-                check_same_sign(previous[k], pair.sigma)
+                raise_first(singular_guards(pair.sigma, previous[k]))
                 previous[k] = pair.sigma
                 qd = compensation_rates(pair, v_psi, v_theta)
                 rates = InputRates(*qd, v_psi, v_theta, psi_ddot=a_psi, theta_ddot=a_theta)
@@ -113,15 +114,14 @@ def _reference_type3(pose, start, target, geometry, limits, dt):
     deltas = (target.q1 - start.q1, target.q2 - start.q2, target.q3 - start.q3)
     profiles, t_total = _synchronized(deltas, limits)
     rows = []
-    previous = None
+    previous = math.nan
     for t in time_grid(t_total, dt):
         moved = [sample_profile(p, t)[0] for p in profiles]
         joints = SphericalJoints(*(o + s for o, s in zip(origin, moved)))
         with _at(t):
             tip = fk_tip_fixed(pose, joints, geometry)
             sigma = signed_measure(joints, geometry)
-            check_nonsingular(sigma)
-            check_same_sign(previous, sigma)
+            raise_first(singular_guards(sigma, previous))
             previous = sigma
         rows.append((tip, abs(sigma)))
     return rows

@@ -15,7 +15,7 @@ from rcmkin.platform import (
     GIMBAL_MARGIN_DEG,
     check_pose,
     euler_xyz,
-    near_gimbal,
+    gimbal_guard,
     platform_rotation,
 )
 from rcmkin.spherical import fk_tip_fixed_chain
@@ -84,7 +84,7 @@ _EDGE = 90.0 - GIMBAL_MARGIN_DEG
     [(_EDGE, True), (-_EDGE, True), (math.nextafter(_EDGE, 0.0), False), (0.0, False)],
 )
 def test_check_pose_and_near_gimbal_agree_at_the_margin(theta, rejected):
-    assert near_gimbal(np.array([theta])).tolist() == [rejected]
+    assert gimbal_guard(np.array([theta]))[0].tolist() == [rejected]
     if rejected:
         with pytest.raises(GimbalProximityError):
             check_pose(PlatformPose(0, 0, 0, 0, theta, 0))

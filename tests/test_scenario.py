@@ -71,6 +71,18 @@ def test_negative_eps_max_names_field():
     assert "eps_max" in str(err.value)
 
 
+@pytest.mark.parametrize("depth, rejected", [(1e300, True), (1e299, False)])
+def test_endoscope_insertion_is_bounded(depth, rejected):
+    text = MINIMAL_TYPE4 + f"delta_theta = 10\nendoscope_insertion = {depth!r}\n"
+    if not rejected:
+        assert parse_scenario(text).endoscope_insertion == depth
+        return
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(text)
+    assert err.value.field == "endoscope_insertion"
+    assert str(err.value) == "endoscope_insertion must be below 1e+300 mm"
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario("motion = type4\nthis line is wrong\n")

@@ -20,14 +20,15 @@ from rcmkin import (
     left_geometry,
     mirrored,
 )
+from rcmkin.errors import rejected
 from rcmkin.spherical import (
     MIN_TIP_NORM,
     REACH_TOL,
     check_ik,
     check_joints,
     fk_tip_fixed_chain,
-    ik_faults,
-    joint_faults,
+    ik_guards,
+    joint_guards,
 )
 from rcmkin.platform import euler_xyz
 from rcmkin.validation import _random_geometry, _random_joints, _random_pose, _worse
@@ -134,7 +135,7 @@ def test_ik_accepts_a_joint_placed_at_its_travel_end(rng, end):
 def test_check_joints_and_joint_faults_agree_at_the_travel_ends(joints, error):
     g = left_geometry()
     grid = SphericalJoints(*(np.array([q]) for q in joints))
-    assert joint_faults(grid, g).tolist() == [error is not None]
+    assert rejected(joint_guards(grid, g)).tolist() == [error is not None]
     if error is None:
         check_joints(SphericalJoints(*joints), g)
     else:
@@ -163,12 +164,15 @@ _REACH = 1.0 + REACH_TOL
         # NaN passes the direction and reach checks and fails the travel.
         (100.0, math.nan, None),
         (math.nan, 0.0, (JointLimitError, "q3 = nan mm outside [0, 300] mm")),
+        # Reach is checked before travel.
+        (400.0, math.nextafter(_REACH, math.inf),
+         (UnreachableError, "tip direction outside the insertion cone (|sin q2| = 1)")),
     ],
 )
 def test_check_ik_and_ik_faults_agree_at_the_edges(q3, sin_q2, error):
     g = left_geometry()
     grid = SphericalJoints(np.array([0.0]), np.array([0.0]), np.array([q3]))
-    assert ik_faults(grid, np.array([sin_q2]), g).tolist() == [error is not None]
+    assert rejected(ik_guards(grid, np.array([sin_q2]), g)).tolist() == [error is not None]
     if error is None:
         check_ik(SphericalJoints(0.0, 0.0, q3), sin_q2, g)
     else:

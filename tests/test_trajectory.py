@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from rcmkin import (
+    GimbalProximityError,
     InvalidLimitsError,
     JointLimitError,
+    KinematicsError,
     PlatformPose,
     PortSide,
     ProfileLimits,
@@ -24,7 +26,10 @@ from rcmkin import (
     sample_profile,
     stretch_profile,
 )
-from rcmkin.trajectory import time_grid
+from rcmkin.errors import raise_first
+from rcmkin.platform import gimbal_guard
+from rcmkin.spherical import ik_guards
+from rcmkin.trajectory import _screen, time_grid
 
 
 def test_profile_trapezoid_case(demo_limits):
@@ -257,6 +262,51 @@ def _plan_rejected_at_a_sample(demo_pose, demo_limits, motion):
         plan_type3_manipulate(demo_pose, SphericalJoints(0.0, 0.0, 150.0),
                               SphericalJoints(0.0, 95.0, 150.0),
                               left_geometry(q2_limit=120.0), demo_limits, 0.01)
+
+
+def _flag(samples, error):
+    # A synthetic guard over a 4-sample grid that flags the given samples and
+    # names the guard and the sample in its message.
+    flags = np.isin(np.arange(4), samples)
+    return flags, np.arange(4.0), lambda i: error(f"{error.__name__} at {i:g}")
+
+
+def _screened(guards):
+    with pytest.raises(KinematicsError) as err:
+        _screen(np.array([0.0, 0.5, 1.0, 1.5]), guards)
+    return type(err.value), str(err.value), err.value.sample_time
+
+
+def test_screen_raises_the_earliest_sample_then_instrument_then_guard():
+    passing = [[_flag([], UnreachableError)], [_flag([], JointLimitError)]]
+    assert _screen(np.zeros(4), passing) is None
+    # The earliest sample wins over the instrument and the guard order.
+    assert _screened([[_flag([3], UnreachableError)], [_flag([2], JointLimitError)]]) == (
+        JointLimitError, "at sample t = 1 s: JointLimitError at 2", 1.0)
+    # At one sample, the first instrument flagged there.
+    assert _screened([[_flag([1, 2], UnreachableError)], [_flag([1], JointLimitError)]]) == (
+        UnreachableError, "at sample t = 0.5 s: UnreachableError at 1", 0.5)
+    # Within one instrument, the first guard in its list flagged there.
+    instrument = [_flag([3], SingularConfigurationError), _flag([2], UnreachableError),
+                  _flag([2, 3], JointLimitError)]
+    assert _screened([[_flag([], GimbalProximityError)], instrument]) == (
+        UnreachableError, "at sample t = 1 s: UnreachableError at 2", 1.0)
+
+
+def test_screen_puts_the_gimbal_guard_ahead_of_the_ik():
+    # Sample 1 is past the gimbal margin and, with q3 past q3_max, past the
+    # travel too: the gimbal guard heads the list, so it wins.
+    theta = np.array([0.0, 89.9995, 0.0, 0.0])
+    joints = SphericalJoints(np.zeros(4), np.zeros(4), np.array([100.0, 400.0, 400.0, 100.0]))
+    guards = [gimbal_guard(theta), *ik_guards(joints, np.zeros(4), left_geometry())]
+    error, message, t = _screened([guards])
+    assert (error, t) == (GimbalProximityError, 0.5)
+    with pytest.raises(GimbalProximityError) as scalar:
+        raise_first([gimbal_guard(89.9995)])
+    assert message == f"at sample t = 0.5 s: {scalar.value}"
+    # Without the gimbal guard, the travel of the same sample is raised.
+    assert _screened([guards[1:]])[:2] == (
+        JointLimitError, "at sample t = 0.5 s: q3 = 400 mm outside [0, 300] mm")
 
 
 @pytest.mark.parametrize("motion, error", [("type4", JointLimitError),

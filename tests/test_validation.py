@@ -86,7 +86,7 @@ def test_roundtrip_oracle_detects_wrong_solutions(monkeypatch):
 
 
 def test_roundtrip_oracle_reads_a_rejected_solution_as_inf(monkeypatch):
-    # A NaN joint lies outside every travel, so ik_faults flags it.
+    # A NaN joint lies outside every travel, so a travel guard flags it.
     true_solve = validation.solve_ik
 
     def nan_first(v, geometry, branch, ops):
