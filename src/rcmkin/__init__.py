@@ -7,15 +7,7 @@ inverse), differentiates that map for rate/acceleration compensation, and
 plans reorientation motions that keep instrument tips stationary.
 """
 
-from .differential import (
-    SIGMA_MIN,
-    InputRates,
-    JacobianPair,
-    compensation_accels,
-    compensation_rates,
-    jacobian_rate,
-    jacobians,
-)
+from .differential import SIGMA_MIN
 from .errors import (
     DegenerateInputError,
     GimbalProximityError,
@@ -71,3 +63,19 @@ from .trajectory import (
     stretch_profile,
 )
 __version__ = "0.1.0"
+
+#: The velocity relation B and B-dot and the solves over them, defined in the
+#: oracle suite (``validation``) and imported from it on first access, so that
+#: importing the package does not compile the oracles.
+_ORACLE_EXPORTS = frozenset({
+    "InputRates", "JacobianPair", "compensation_accels", "compensation_rates",
+    "jacobian_rate", "jacobians",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_EXPORTS:
+        from . import validation
+
+        return getattr(validation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

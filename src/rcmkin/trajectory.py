@@ -6,8 +6,9 @@ joints come from closed-form IK at every sample (drift free), rates and
 accelerations from the velocity relation taken in the platform frame, where
 it is a closed-form 3x3 system per sample (``differential.hold_motion``)
 over the platform's rotation and spin (``platform.platform_rotation``,
-``platform_spin``); B and B-dot are its oracle in the tests. Insertion
-(type 2) and joint-space (type 3) planners run plain synchronized
+``platform_spin``); B and B-dot (``validation.jacobians``,
+``jacobian_rate``) are its oracle in ``rcmkin validate`` and the tests.
+Insertion (type 2) and joint-space (type 3) planners run plain synchronized
 trapezoids without compensation and without building B; their tips come
 from ``spherical.tip_position``.
 

@@ -17,19 +17,31 @@ configuration:
 - fk-ik-roundtrip: ``tip_position``, ``tip_vector`` and ``solve_ik`` on
   ``IK_GRID`` return the sampled tip; a sample that ``ik_guards`` rejects,
   or a branch flip, reads inf;
-- jacobian-fd: the analytic B (``differential._relation``, the body of
-  ``jacobians``) against central finite differences of the column tip map;
+- jacobian-fd: the analytic B (``_relation``, the body of ``jacobians``)
+  against central finite differences of the column tip map;
 - jacobian-rate-fd: the analytic B-dot (the body of ``jacobian_rate``)
   against central differences of the column B along each configuration's
   drawn input rates;
 - numeric-ik: the closed-form IK against a batched Gauss-Newton root of the
-  column tip residual.
+  column tip residual;
+- compensation-cross: the type-4 planner's kernel (``platform_spin`` and
+  ``differential.hold_motion``, Cramer's rule in the platform frame) against
+  the 3x3 solves over the column B and B-dot in the fixed frame, and
+  ``differential.signed_measure`` against the determinant of B's joint block.
+
+The velocity relation itself lives here: B and B-dot (``_relation``, on one
+configuration ``jacobians`` and ``jacobian_rate``) and the general solves
+that hold a tip with them (``compensation_rates`` and
+``compensation_accels``). No planner runs them; they are the route that
+compensation-cross checks the planner's kernel against, and the package
+root re-exports them, importing this module on first access.
 
 Each configuration keeps its own random geometry: the column bodies read it
 through ``_Geometries``, which holds only what they read (``tilts``,
 ``offset`` and ``travel``) as (n,) columns. Only the homogeneous chain
 takes objects, so it alone runs per configuration. No check calls the scalar
-queries ``fk_tip_fixed``, ``ik_full``, ``jacobians`` or ``jacobian_rate``.
+queries ``fk_tip_fixed`` and ``ik_full``, or their B counterparts
+``jacobians`` and ``jacobian_rate``.
 """
 
 from __future__ import annotations
@@ -39,15 +51,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import differential
-from .differential import InputRates
+from .differential import (
+    _TO_USER,
+    _cross,
+    _insertion_partials,
+    _turn_y,
+    check_nonsingular,
+    hold_motion,
+    signed_measure,
+)
 from .errors import rejected
-from .platform import PlatformPose, euler_entries, platform_rotation
+from .platform import (
+    _DEG,
+    PlatformPose,
+    check_pose,
+    euler_entries,
+    platform_rotation,
+    platform_spin,
+)
 from .spherical import (
     IK_GRID,
     IkBranch,
     SphericalGeometry,
     SphericalJoints,
+    check_joints,
     fk_tip_fixed_chain,
     ik_guards,
     insertion,
@@ -242,6 +269,170 @@ def _closed_form_ik(r, pose: np.ndarray, tips: np.ndarray, geometry) -> tuple:
     return np.array([solved.q1, solved.q2, solved.q3]), faults
 
 
+# --- the velocity relation: B, B-dot and the solves over them --------------
+
+# Per-entry factor from (deg, deg, mm, deg, deg) to (rad, rad, mm, rad, rad).
+_TO_INTERNAL = np.array([_DEG, _DEG, 1.0, _DEG, _DEG])
+
+
+@dataclass(frozen=True)
+class InputRates:
+    """Rates and accelerations of the five coupled inputs.
+
+    Angular entries in deg/s and deg/s^2, insertion in mm/s and mm/s^2.
+    """
+
+    q1_dot: float
+    q2_dot: float
+    q3_dot: float
+    psi_dot: float
+    theta_dot: float
+    q1_ddot: float = 0.0
+    q2_ddot: float = 0.0
+    q3_ddot: float = 0.0
+    psi_ddot: float = 0.0
+    theta_ddot: float = 0.0
+
+    def rates_internal(self) -> np.ndarray:
+        """Input rate vector in radians and millimetres per second."""
+        rates = (self.q1_dot, self.q2_dot, self.q3_dot, self.psi_dot, self.theta_dot)
+        return _TO_INTERNAL * rates
+
+    def accels_internal(self) -> np.ndarray:
+        """Input acceleration vector in radians and millimetres per second^2."""
+        accels = (self.q1_ddot, self.q2_ddot, self.q3_ddot, self.psi_ddot, self.theta_ddot)
+        return _TO_INTERNAL * accels
+
+
+@dataclass(frozen=True)
+class JacobianPair:
+    """The A (3x3) and B (3x5) matrices of the velocity relation.
+
+    ``sigma`` is the signed determinant of the joint block of B with its
+    angle columns taken per unit insertion depth (``signed_measure``).
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    sigma: float
+
+
+def _mix(*terms):
+    """The sum of k v over the pairs (k, v) of ``terms``."""
+    return tuple(sum(k * v[i] for k, v in terms) for i in range(3))
+
+
+def _rotate(r, v):
+    """R v from R's entries ``r`` (``euler_entries``)."""
+    r11, r12, r13, r21, r22, r23, r31, r32, r33 = r
+    return (
+        r11 * v[0] + r12 * v[1] + r13 * v[2],
+        r21 * v[0] + r22 * v[1] + r23 * v[2],
+        r31 * v[0] + r32 * v[1] + r33 * v[2],
+    )
+
+
+def _relation(r, c1, s1, c2, s2, cps, sps, q3, geometry: SphericalGeometry,
+              rates=None) -> np.ndarray:
+    """B (3, 5) over (q1, q2, q3, psi, theta) in radians and mm or, given the
+    five input rates (radians and mm per second), B-dot, from R's entries
+    ``r`` (``euler_entries``), the cosines and sines of q1, q2 and psi, and
+    q3 (mm). Floats give one configuration; (...) columns, with a geometry
+    whose ``tilts`` and ``offset`` may be columns too, give (3, 5, ...).
+
+    With A = rot_y(alpha) and the arm u = R (offset + q3 A m), B's columns
+    are R A (q3 m1), R A (q3 m2), R A m, e_x x u and e x u, where
+    e = (0, cos psi, sin psi): dR/dpsi = [e_x]x R and dR/dtheta = [e]x R.
+    B-dot is their product rule, d(R v)/dt = w x (R v) + R v' with the
+    platform's angular velocity w = psi' e_x + theta' e, so
+    u' = w x u + B_q q'; the theta column also turns with
+    e' = psi' (0, -sin psi, cos psi).
+    """
+    ca, sa, _, _ = geometry.tilts
+    m, m1, m2, m11, m12, m22 = _insertion_partials(c1, s1, c2, s2, geometry)
+    e_x, e = (1.0, 0.0, 0.0), (0.0, cps, sps)
+
+    def fixed(v):  # R A v
+        return _rotate(r, _turn_y(v, ca, sa))
+
+    joint = [fixed(_mix((q3, m1))), fixed(_mix((q3, m2))), fixed(m)]
+    arm = _mix((1.0, _rotate(r, geometry.offset)), (q3, joint[2]))
+    if rates is None:
+        return np.array(joint + [_cross(e_x, arm), _cross(e, arm)]).swapaxes(0, 1)
+    w1, w2, v3, w_psi, w_theta = rates
+    w = (w_psi, w_theta * cps, w_theta * sps)
+    inner = (
+        _mix((v3, m1), (q3 * w1, m11), (q3 * w2, m12)),
+        _mix((v3, m2), (q3 * w1, m12), (q3 * w2, m22)),
+        _mix((w1, m1), (w2, m2)),
+    )
+    arm_dot = _mix((1.0, _cross(w, arm)), (w1, joint[0]), (w2, joint[1]), (v3, joint[2]))
+    e_dot = (0.0, -w_psi * sps, w_psi * cps)
+    return np.array(
+        [_mix((1.0, _cross(w, j)), (1.0, fixed(d))) for j, d in zip(joint, inner)]
+        + [_cross(e_x, arm_dot), _mix((1.0, _cross(e_dot, arm)), (1.0, _cross(e, arm_dot)))]
+    ).swapaxes(0, 1)
+
+
+def _configuration(pose: PlatformPose, joints: SphericalJoints) -> tuple:
+    """``_relation``'s configuration arguments for one pose and joint set,
+    by the math module, so that no numpy call runs per float."""
+    q1, q2, psi = _DEG * joints.q1, _DEG * joints.q2, _DEG * pose.psi
+    return (pose.rotation_entries, math.cos(q1), math.sin(q1), math.cos(q2), math.sin(q2),
+            math.cos(psi), math.sin(psi), joints.q3)
+
+
+def _joint_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
+    """Solve b_q x = rhs (3,); x with its angle entries in degrees."""
+    return tuple((np.linalg.solve(b[:, :3], rhs) * _TO_USER).tolist())
+
+
+def jacobians(
+    pose: PlatformPose, joints: SphericalJoints, geometry: SphericalGeometry
+) -> JacobianPair:
+    """A and B of the velocity relation at one configuration."""
+    check_pose(pose)
+    check_joints(joints, geometry)
+    b = _relation(*_configuration(pose, joints), geometry)
+    return JacobianPair(a=-np.eye(3), b=b, sigma=signed_measure(joints, geometry))
+
+
+def jacobian_rate(
+    pose: PlatformPose,
+    joints: SphericalJoints,
+    geometry: SphericalGeometry,
+    rates: InputRates,
+) -> np.ndarray:
+    """Time derivative of B along the current input rates."""
+    return _relation(*_configuration(pose, joints), geometry, rates.rates_internal().tolist())
+
+
+def compensation_rates(
+    pair: JacobianPair, psi_dot: float, theta_dot: float
+) -> tuple[float, float, float]:
+    """Joint rates that keep the tip stationary under platform angle rates.
+
+    Solves b_q qdot = -b_a (psi_dot, theta_dot) from the velocity relation
+    with zero tip velocity. Angle rates in deg/s in and out, q3 in mm/s.
+    """
+    check_nonsingular(pair.sigma)
+    return _joint_solve(pair.b, -(pair.b[:, 3:] @ np.radians([psi_dot, theta_dot])))
+
+
+def compensation_accels(
+    pair: JacobianPair, b_dot: np.ndarray, rates: InputRates
+) -> tuple[float, float, float]:
+    """Joint accelerations that keep the tip fixed.
+
+    From differentiating the velocity relation with the tip at rest:
+    b_q qddot = -b_dot Qdot - b_a (psi_ddot, theta_ddot).
+    """
+    check_nonsingular(pair.sigma)
+    rhs = -(b_dot @ rates.rates_internal())
+    rhs -= pair.b[:, 3:] @ np.radians([rates.psi_ddot, rates.theta_ddot])
+    return _joint_solve(pair.b, rhs)
+
+
 # --- checks -----------------------------------------------------------------
 
 
@@ -294,15 +485,14 @@ def _rows(pose: PlatformPose, joints: SphericalJoints) -> tuple[np.ndarray, np.n
 
 
 def _b(pose: np.ndarray, joints: np.ndarray, geometry, rates=None) -> np.ndarray:
-    """The analytic B (``differential._relation``), rows (3, 5, ...), at pose
+    """The analytic B (``_relation``), rows (3, 5, ...), at pose
     rows (6, ...) and joint rows (3, ...) for a geometry or its column
     stand-in; given input rate rows (5, ...) in radians and mm per second,
     B-dot."""
     angles = np.radians(np.concatenate([pose[3:], joints[:2]]))  # psi theta phi q1 q2
     c, s = np.cos(angles), np.sin(angles)
     r = euler_entries(c[0], s[0], c[1], s[1], c[2], s[2])
-    return differential._relation(r, c[3], s[3], c[4], s[4], c[0], s[0], joints[2], geometry,
-                                  rates)
+    return _relation(r, c[3], s[3], c[4], s[4], c[0], s[0], joints[2], geometry, rates)
 
 
 def _finite_difference_b(pose, joints, geometry, step: float = 1e-6) -> np.ndarray:
@@ -378,11 +568,56 @@ def check_jacobian_rate_fd(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleRes
     configuration's input rates."""
     rng = np.random.default_rng(seed + 6)
     poses, shapes, joints = _draw_configurations(rng, n)
-    rates = differential._TO_INTERNAL[:, None] * _draw(rng, ((-20, 20),) * 5, n)
+    rates = _TO_INTERNAL[:, None] * _draw(rng, ((-20, 20),) * 5, n)
     g = _Geometries(*shapes)
     worst = _relative_error(_b(poses, joints, g, rates),
                             _finite_difference_b_rate(poses, joints, g, rates))
     return OracleResult("jacobian-rate-fd", worst, 1e-6, n)
+
+
+def _stacked_solve(b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x rows (3, n) of b_q x = rhs over the column B (3, 5, n) and rhs rows
+    (3, n): one ``np.linalg.solve`` of the stacked 3x3 joint blocks."""
+    blocks = np.moveaxis(b[:, :3], -1, 0)
+    return np.linalg.solve(blocks, rhs.T[:, :, None])[:, :, 0].T
+
+
+def check_compensation_cross(n: int = 1000, seed: int = DEFAULT_SEED) -> OracleResult:
+    """The type-4 kernel against the 3x3 solves over B and B-dot.
+
+    The planner's route (``platform_rotation``, ``platform_spin`` and
+    ``hold_motion``) runs on drawn columns with phi held, as a type-4 plan
+    holds it. Its joint rates and accelerations must equal those that
+    ``np.linalg.solve`` gives on the stacked joint blocks of the column B
+    and B-dot in the fixed frame, its tips the column tip map's, and
+    ``signed_measure`` det(B_q) / q3^2.
+    """
+    rng = np.random.default_rng(seed + 7)
+    poses, shapes, joints = _draw_configurations(rng, n)
+    pose_rates, pose_accels = _draw(rng, ((-20, 20),) * 4, n).reshape(2, 2, n)
+    phi = poses[5] = rng.uniform(-180, 180)  # one float, held over the columns
+    g, r = _Geometries(*shapes), platform_rotation(poses[3], poses[4], phi)
+    spin = platform_spin(poses[4], phi, pose_rates.T, pose_accels.T)
+    q = SphericalJoints(*joints)
+    rates, accels, tips = hold_motion(r, spin, q, g, poses[:3])
+
+    b = _b(poses, joints, g)
+    w, w_dot = np.radians(pose_rates), np.radians(pose_accels)
+    solved_rates = _stacked_solve(b, -(b[:, 3:] * w).sum(axis=1))
+    inputs = np.concatenate([solved_rates, w])
+    b_dot = _b(poses, joints, g, inputs)
+    rhs = -(b_dot * inputs).sum(axis=1) - (b[:, 3:] * w_dot).sum(axis=1)
+    solved_accels = _stacked_solve(b, rhs)
+    sigma = np.linalg.det(np.moveaxis(b[:, :3], -1, 0)) / joints[2] ** 2
+    worst = 0.0
+    for analytic, numeric in (
+        (rates.T, _TO_USER[:, None] * solved_rates),
+        (accels.T, _TO_USER[:, None] * solved_accels),
+        (tips.T, _tip(r, poses, joints, g)),
+        (signed_measure(q, g), sigma),
+    ):
+        worst = _worse(worst, _relative_error(analytic, numeric))
+    return OracleResult("compensation-cross", worst, 1e-9, n)
 
 
 def _gauss_newton(residual, x0: np.ndarray) -> np.ndarray:
@@ -450,6 +685,7 @@ def run_all(seed: int = DEFAULT_SEED) -> list[OracleResult]:
         check_jacobian_fd(seed=seed),
         check_jacobian_rate_fd(seed=seed),
         check_numeric_ik(seed=seed),
+        check_compensation_cross(seed=seed),
     ]
 
 

@@ -212,6 +212,13 @@ def _single_error_line(err: str) -> bool:
         ["fk", "--pose=nan,0,-500,0,0,0", "--joints", "0,0,100"],
         ["fk", "--pose=0,0,-500,0,0,0", "--joints", "0,0,100", "--alpha", "95"],
         ["ik", "--pose=0,0,-500,0,0,0", "--tip", "0,0,-600", "--beta", "nan"],
+        # A non-finite joint or tip is an input error, not a limit or reach fault.
+        ["fk", "--pose=0,0,-500,0,0,0", "--joints=nan,0,100"],
+        ["fk", "--pose=0,0,-500,0,0,0", "--joints=0,inf,100"],
+        ["fk", "--pose=0,0,-500,0,0,0", "--joints=0,0,-inf"],
+        ["ik", "--pose=0,0,-500,0,0,0", "--tip=nan,0,-600"],
+        ["ik", "--pose=0,0,-500,0,0,0", "--tip=0,-inf,-600"],
+        ["ik", "--pose=0,0,-500,0,0,0", "--tip=0,0,inf"],
     ],
 )
 def test_bad_query_input_is_config_error(argv, capsys):

@@ -10,7 +10,7 @@ from conftest import is_rotation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcmkin import differential, validation
+from rcmkin import differential, platform, spherical, validation
 from rcmkin.platform import PlatformPose, platform_rotation
 from rcmkin.spherical import (
     IK_GRID,
@@ -19,10 +19,12 @@ from rcmkin.spherical import (
     fk_tip_fixed,
     ik_full,
     left_geometry,
+    mirrored,
     right_geometry,
     solve_ik,
     tip_vector,
 )
+from rcmkin.trajectory import ProfileLimits, plan_type2_insert, plan_type3_manipulate, plan_type4
 
 
 def test_all_oracles_pass_reduced_counts():
@@ -34,6 +36,7 @@ def test_all_oracles_pass_reduced_counts():
         validation.check_jacobian_fd(n=100),
         validation.check_jacobian_rate_fd(n=100),
         validation.check_numeric_ik(n=20),
+        validation.check_compensation_cross(n=100),
     ]
     for result in results:
         assert result.passed, result.line()
@@ -41,15 +44,15 @@ def test_all_oracles_pass_reduced_counts():
 
 def _corrupt_relation(monkeypatch):
     """Move entry (0, 0) of every B and B-dot the column body
-    (``differential._relation``) returns by +1e-3."""
-    true_relation = differential._relation
+    (``validation._relation``) returns by +1e-3."""
+    true_relation = validation._relation
 
     def corrupted(*args):
         b = true_relation(*args)
         b[0, 0] += 1e-3
         return b
 
-    monkeypatch.setattr(differential, "_relation", corrupted)
+    monkeypatch.setattr(validation, "_relation", corrupted)
 
 
 def test_jacobian_oracle_detects_injected_fault(monkeypatch):
@@ -64,6 +67,34 @@ def test_jacobian_rate_oracle_detects_injected_fault(monkeypatch):
     # on the analytic B-dot alone, and must trip the oracle.
     _corrupt_relation(monkeypatch)
     result = validation.check_jacobian_rate_fd(n=20)
+    assert not result.passed
+
+
+def test_compensation_oracle_detects_wrong_accelerations(monkeypatch):
+    # The type-4 kernel's accelerations off by a relative 1e-6 must trip it.
+    true_hold = validation.hold_motion
+
+    def off(*args):
+        rates, accels, tips = true_hold(*args)
+        return rates, accels * (1.0 + 1e-6), tips
+
+    monkeypatch.setattr(validation, "hold_motion", off)
+    result = validation.check_compensation_cross(n=20)
+    assert not result.passed
+
+
+def test_compensation_oracle_detects_a_wrong_turn_sign(monkeypatch):
+    # W' with its psi' theta' term negated: with the accelerations at zero,
+    # platform_spin returns that term alone.
+    true_spin = validation.platform_spin
+
+    def flipped(theta, phi, rates, accels):
+        w, w_dot = true_spin(theta, phi, rates, accels)
+        _, turn = true_spin(theta, phi, rates, np.zeros_like(accels))
+        return w, tuple(d - 2.0 * t for d, t in zip(w_dot, turn))
+
+    monkeypatch.setattr(validation, "platform_spin", flipped)
+    result = validation.check_compensation_cross(n=20)
     assert not result.passed
 
 
@@ -161,14 +192,16 @@ def _nan_at_configuration_0(columns):
 # check -> (module, name of the recomputation it calls, NaN version of its
 # result, its calls in a check of 5 configurations: 5 for a recomputation
 # called once per configuration, 1 for one called on columns; jacobian-rate-fd
-# calls the column body twice, for B-dot and for the differenced B)
+# calls the column body twice, for B-dot and for the differenced B, and
+# compensation-cross solves twice, for the rates and the accelerations)
 _NAN_CASES = {
     "check_euler_quaternion": (validation, "euler_quaternion_oracle", _nan_at_configuration_0, 1),
     "check_euler_roundtrip": (validation, "_euler_xyz_angles", _nan_at_configuration_0, 1),
     "check_dual_path_fk": (validation, "fk_tip_fixed_chain", lambda r: r * math.nan, 5),
-    "check_jacobian_fd": (differential, "_relation", _nan_at_configuration_0, 1),
-    "check_jacobian_rate_fd": (differential, "_relation", _nan_at_configuration_0, 2),
+    "check_jacobian_fd": (validation, "_relation", _nan_at_configuration_0, 1),
+    "check_jacobian_rate_fd": (validation, "_relation", _nan_at_configuration_0, 2),
     "check_numeric_ik": (validation, "_gauss_newton", _nan_at_configuration_0, 1),
+    "check_compensation_cross": (validation, "_stacked_solve", _nan_at_configuration_0, 2),
 }
 
 
@@ -194,6 +227,7 @@ def test_oracle_fails_on_a_nan_error(monkeypatch, check):
 _CHECKS = [
     "check_euler_quaternion", "check_euler_roundtrip", "check_dual_path_fk",
     "check_fk_ik_roundtrip", "check_jacobian_fd", "check_jacobian_rate_fd", "check_numeric_ik",
+    "check_compensation_cross",
 ]
 
 
@@ -233,7 +267,7 @@ def test_scalar_draws_keep_their_values_and_stream_order():
 
 
 def test_column_checks_call_no_scalar_query_or_rotation_builder(monkeypatch):
-    # Six checks run both their routes on columns: no scalar FK, IK or
+    # Seven checks run both their routes on columns: no scalar FK, IK or
     # Jacobian query, Euler matrix or rotation builder is called for any
     # configuration.
     def forbidden(*args, **kwargs):
@@ -252,9 +286,58 @@ def test_column_checks_call_no_scalar_query_or_rotation_builder(monkeypatch):
         validation.check_jacobian_fd(n=50),
         validation.check_jacobian_rate_fd(n=50),
         validation.check_numeric_ik(n=10),
+        validation.check_compensation_cross(n=50),
     ]
     for result in results:
         assert result.passed, result.line()
+
+
+def _functions_called(modules, run) -> set:
+    """'module.name' of each module-level function of ``modules`` that
+    ``run()`` calls, recorded by a profile hook."""
+    own = {module.__name__: module for module in modules}
+    called = set()
+
+    def profile(frame, event, arg):
+        module = own.get(frame.f_globals.get("__name__"))
+        name = frame.f_code.co_name
+        if (event == "call" and module is not None
+                and getattr(vars(module).get(name), "__code__", None) is frame.f_code):
+            called.add(f"{module.__name__}.{name}")
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_validate_reaches_every_kernel_the_planners_run():
+    # Every function of platform, spherical and differential that a planner
+    # calls, except the guard lists and the check_* raisers (the agreement
+    # tests cover those), must be exercised by the oracle suite.
+    # The arguments are built first: only the planners' own calls count.
+    pose, limits = PlatformPose(15.0, 20.0, -500.0, -15.0, 10.0, -60.0), ProfileLimits(10.0, 5.0)
+    left, wide = left_geometry(), left_geometry(q1_limit=180.0, q2_limit=180.0)
+    both = [(left, [50.0, -50.0, -620.0]), (mirrored(left), [-20.0, -50.0, -620.0])]
+    start, target = SphericalJoints(0.0, 10.0, 150.0), SphericalJoints(25.0, -15.0, 200.0)
+
+    def plan():
+        plan_type4(pose, 15.0, 25.0, limits, 0.1, both)
+        plan_type4(pose, 15.0, 25.0, limits, 0.1, [(wide, [50.0, -50.0, -620.0])],
+                   IkBranch.MIRROR)
+        plan_type2_insert(pose, start, 200.0, left, limits, 0.1)
+        plan_type3_manipulate(pose, start, target, left, limits, 0.1)
+
+    modules = (platform, spherical, differential)
+    planned = {name for name in _functions_called(modules, plan)
+               if not name.rsplit(".", 1)[1].startswith("check_")
+               and not name.endswith(("_guard", "_guards"))}
+    assert "rcmkin.differential.hold_motion" in planned
+    assert "rcmkin.platform.platform_spin" in planned
+    missed = planned - _functions_called(modules, validation.run_all)
+    assert not missed, sorted(missed)
 
 
 _configuration = st.tuples(
@@ -316,12 +399,12 @@ def test_column_relation_equals_the_scalar_b_and_b_dot(rows):
     rates = np.array([rate for _, rate, _ in rows]).T
     poses, joints, g = columns[:6], columns[9:], _stacked(geometries)
     b = validation._b(poses, joints, g)
-    b_dot = validation._b(poses, joints, g, differential._TO_INTERNAL[:, None] * rates)
+    b_dot = validation._b(poses, joints, g, validation._TO_INTERNAL[:, None] * rates)
     for i, (row, rate, _) in enumerate(rows):
         pose, q = PlatformPose(*row[:6]), SphericalJoints(*row[9:])
         expected = [
-            differential.jacobians(pose, q, geometries[i]).b,
-            differential.jacobian_rate(pose, q, geometries[i], differential.InputRates(*rate)),
+            validation.jacobians(pose, q, geometries[i]).b,
+            validation.jacobian_rate(pose, q, geometries[i], validation.InputRates(*rate)),
         ]
         for got, want in zip((b[..., i], b_dot[..., i]), expected):
             np.testing.assert_allclose(got, want, rtol=1e-15,
@@ -335,13 +418,13 @@ def test_finite_difference_b_rate_is_the_column_difference_per_configuration():
     poses, shapes, joints = validation._draw_configurations(rng, 4)
     rates = validation._draw(rng, ((-20, 20),) * 5, 4)
     rates[:, 2] = 0.0
-    internal = differential._TO_INTERNAL[:, None] * rates
+    internal = validation._TO_INTERNAL[:, None] * rates
     columns = validation._finite_difference_b_rate(poses, joints,
                                                    validation._Geometries(*shapes), internal)
     assert not columns[..., 2].any()
     for i, (pose, q, geometry) in enumerate(validation._objects(poses, shapes, joints)):
         one = validation.finite_difference_b_rate(pose, q, geometry,
-                                                  differential.InputRates(*rates[:, i]))
+                                                  validation.InputRates(*rates[:, i]))
         assert one.shape == (3, 5)
         np.testing.assert_allclose(columns[..., i], one, rtol=1e-12, atol=1e-9)
 
