@@ -12,11 +12,16 @@ next power of ten keeps one more digit: 9.99999999996 is written
 
 Tables are formatted `_BLOCK_ROWS` rows at a time: the block's column
 slices are stacked into one array, the decimals of every value come from
-`np.log10`, and one `%` call writes the whole block. A column whose text is
-the same on every row of a block (a held pose, joint or tip) is formatted
-once and written into the `%` template, so only the other columns' values
-reach that call. The text is byte-identical to `format_number` applied value
-by value.
+`np.log10`, and one `%` call over a "%s" template writes the whole block. A
+column whose text is the same on every row of a block (a held pose, joint or
+tip) is formatted once and written into the template, so only the other
+columns' values reach that call. Each of those goes in as one exactly
+rounded integer that spells the value's digits, with a 1 where the decimal
+point goes, since `%` prints an int much faster than a float through
+"%.*f"; the points are then patched into the encoded text. A value within
+an ulp of a rounding tie, non-finite, past 17 decimals or at or past 2**53
+goes in as its "%.*f" text instead. The text is byte-identical to
+`format_number` applied value by value.
 """
 
 from __future__ import annotations
@@ -39,6 +44,13 @@ _JOINT_COLUMNS = ("q1", "q2", "q3")
 
 #: Rows formatted per block; bounds the formatter's working memory.
 _BLOCK_ROWS = 256
+
+#: The most decimals a cell may have to go through the integer route, and
+#: 10**k for k up to it, as int64 and as float64: exact in both, and every
+#: integer the route builds fits in int64.
+_EXACT_DECIMALS = 17
+_INT_POWERS = 10 ** np.arange(_EXACT_DECIMALS + 1, dtype=np.int64)
+_POWERS = _INT_POWERS.astype(np.float64)
 
 
 def format_number(value: float) -> str:
@@ -87,17 +99,28 @@ def _columns(
 
 def _format_block(block: np.ndarray) -> str:
     """format_number of every value of a 2-D block: commas between values,
-    newlines between rows, no trailing newline.
-
-    One `%` call formats the whole block. "%.*f" rounds as format_number's
-    f-string does; adding 0.0 turns -0.0 into 0.0, and 0 decimals write zero
-    and the non-finite values as "0", "nan", "inf" and "-inf".
+    a newline after every row.
 
     A column whose text is the same on every row is formatted once and
     written into the template. It is one whose values are all finite and
     share one decimal count, and whose min and max print alike: at a fixed
     decimal count "%.*f" rounds correctly, hence monotonically, so every
-    value between them prints alike too.
+    value between them prints alike too. Adding 0.0 turns -0.0 into 0.0.
+
+    The other cells go through one `%` call over a "%s" template, each as
+    one integer. With d decimals, n = rint(|v| * 10**d) is the integer
+    "%.*f" % (d, v) prints: 10**d is exact for d <= 17, so the product is
+    rounded once and lies within half an ulp of |v| * 10**d, and outside
+    one ulp of a tie n is where that exact value rounds to. With
+    ip, fp = divmod(n, 10**d), the cell's integer is (10*ip + 1)*10**d + fp,
+    or 11*10**d + fp when ip == 0, or n when d == 0, negated when v < 0;
+    its digits are the text with a 1 where the "." goes, or 11 where "0."
+    goes. Every cell ends in a byte <= 44 ("," or "\n") and no character of
+    a number is that low, so the "." and "0" are patched into the encoded
+    text from the cells' ends. A cell within an ulp of a tie, non-finite
+    (0 decimals write "nan", "inf" and "-inf"), past 17 decimals or at or
+    past 2**53 passes its "%.*f" text instead, the integer route's
+    fallback.
     """
     values = block + 0.0
     magnitude = np.abs(values)
@@ -113,7 +136,7 @@ def _format_block(block: np.ndarray) -> str:
     decimals = np.where(usable, np.maximum(0.0, SIGNIFICANT_DIGITS - 1 - floor), 0.0)
     decimals = decimals.astype(np.int64)
     rows, cols = values.shape
-    cells = ["%.*f"] * cols
+    cells = ["%s"] * cols
     varying = np.ones(cols, dtype=bool)
     same = np.flatnonzero(finite.all(axis=0) & (decimals == decimals[0]).all(axis=0))
     spans = values[:, same]
@@ -122,11 +145,31 @@ def _format_block(block: np.ndarray) -> str:
         text = "%.*f" % (places, low)
         if low == high or "%.*f" % (places, high) == text:
             cells[j], varying[j] = text, False
-    values, decimals = values[:, varying], decimals[:, varying]
-    flat = [None] * (2 * values.size)
-    flat[0::2] = decimals.ravel().tolist()
-    flat[1::2] = values.ravel().tolist()
-    return "\n".join([",".join(cells)] * rows) % tuple(flat)
+    values, decimals = values[:, varying].ravel(), decimals[:, varying].ravel()
+    capped = np.minimum(decimals, _EXACT_DECIMALS)
+    scaled = np.abs(values) * _POWERS[capped]
+    exact = (scaled < 2.0 ** 53) & (decimals <= _EXACT_DECIMALS)
+    # Zeroing the other cells keeps NaN, infinity and overflow out of the test.
+    scaled = np.where(exact, scaled, 0.0)
+    whole = np.rint(scaled)
+    exact &= np.abs(np.abs(scaled - whole) - 0.5) > np.spacing(scaled)
+    digits = whole.astype(np.int64)
+    scale = _INT_POWERS[capped]
+    integer, fraction = np.divmod(digits, scale)
+    cell = np.where(decimals > 0, (10 * np.maximum(integer, 1) + 1) * scale + fraction, digits)
+    args = np.where(values < 0, -cell, cell).tolist()
+    fallback = np.flatnonzero(~exact)
+    for i, places, value in zip(fallback.tolist(), decimals[fallback].tolist(),
+                                values[fallback].tolist()):
+        args[i] = "%.*f" % (places, value)
+    text = bytearray((",".join(cells) + "\n") * rows % tuple(args), "ascii")
+    dot = exact & (decimals > 0)
+    code = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero(code <= 44).reshape(rows, cols)[:, varying].ravel()
+    point = ends[dot] - decimals[dot] - 1
+    code[point] = ord(".")
+    code[point[integer[dot] == 0] - 1] = ord("0")
+    return text.decode("ascii")
 
 
 def _table_text(columns: list[np.ndarray]) -> str:
@@ -139,7 +182,7 @@ def _table_text(columns: list[np.ndarray]) -> str:
     samples = len(columns[0])
     tables = [np.reshape(c, (samples, -1)) for c in columns]
     return "".join(
-        _format_block(np.hstack([t[start:start + _BLOCK_ROWS] for t in tables])) + "\n"
+        _format_block(np.hstack([t[start:start + _BLOCK_ROWS] for t in tables]))
         for start in range(0, samples, _BLOCK_ROWS)
     )
 
@@ -159,9 +202,11 @@ def write_plan_csv(
     subset: str | None = None,
     endoscope: np.ndarray | None = None,
 ) -> None:
-    """Write a plan to a CSV file with deterministic bytes."""
+    """Write a plan to a CSV file with deterministic bytes. The text is built
+    before the file is opened, so an unknown subset leaves the file as it was."""
+    text = plan_csv_text(plan, subset, endoscope)
     with open(path, "w", encoding="ascii", newline="") as stream:
-        stream.write(plan_csv_text(plan, subset, endoscope))
+        stream.write(text)
 
 
 def read_plan_csv(path) -> tuple[list[str], np.ndarray]:

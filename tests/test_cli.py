@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -199,6 +200,40 @@ def test_profile_rows_equal_format_number(capsys):
         ",".join(format_number(v) for v in row) + "\n"
         for row in zip(times, *sample_profile(prof, times))
     )
+
+
+#: sha256 of the bytes written by the bundled demo's runs and by two
+#: `profile --dt` runs. Two runs of one formatter always agree, so these pin
+#: the bytes across formatter changes. The last profile's cells reach 2**53.
+_PINNED_RUNS = {
+    "": "fbba183eff9aa17d234e094024293c01089a58b950e34b7cf5f84a441ebb400b",
+    "--dt 0.001": "709407dd2c374dcd694640a904c7e324674e0fbf2887571d0f54d07da85554e7",
+    "--plot-data fig5": "bc668bade137ffd32dbc6898e978ef1fb4b937656f4f2224395455fd90b94da4",
+    "--plot-data fig7": "31949eefcd5d446622cea6861bf75be14597af77915d3ae50c0a564d10f55ca7",
+}
+_PINNED_PROFILES = {
+    "--delta 25 --dt 0.01": "dd4d95c7b22b3dc9200ce950b70e46ee6eaa660fec6c92c6e9b7049a8594143d",
+    "--delta 1e17 --omega-max 1e16 --eps-max 1e16 --dt 0.25":
+        "e7b21dde6c73143420e391280453431525227bc406f24633a79959502989187c",
+}
+
+
+@pytest.mark.parametrize("args", _PINNED_RUNS)
+def test_demo_csv_bytes_are_pinned(args, tmp_path):
+    out = tmp_path / "demo.csv"
+    assert cli.main(["run", DEMO, "--out", str(out), "--quiet", *args.split()]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_RUNS[args]
+    if not args:
+        assert len(data) == 135429
+
+
+@pytest.mark.parametrize("args", _PINNED_PROFILES)
+def test_profile_bytes_are_pinned(args, capsys):
+    assert cli.main(["profile", *args.split()]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == _PINNED_PROFILES[args]
 
 
 def _single_error_line(err: str) -> bool:

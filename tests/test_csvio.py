@@ -83,6 +83,14 @@ def test_unknown_subset_rejected(demo_plan):
         csvio.plan_csv_text(demo_plan, subset="fig6")
 
 
+def test_a_rejected_subset_leaves_the_previous_file_as_it_was(demo_plan, tmp_path):
+    path = tmp_path / "plan.csv"
+    path.write_text("# the previous plan\n")
+    with pytest.raises(ValueError):
+        csvio.write_plan_csv(demo_plan, path, subset="fig6")
+    assert path.read_text() == "# the previous plan\n"
+
+
 def test_endoscope_columns(demo_plan):
     endo = np.zeros((demo_plan.samples, 3))
     text = csvio.plan_csv_text(demo_plan, endoscope=endo)
@@ -220,3 +228,38 @@ def test_csv_text_parses_back_within_1e9_relative(block):
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
     assert parsed.shape == block.shape
     assert np.all(np.abs(parsed - block) <= 1e-9 * np.abs(block))
+
+
+#: The integer route's range: |v| from 1e-9 (18 decimals, past the route) to
+#: 1e16 (0 decimals, past 2**53), either sign.
+_ROUTE_VALUES = st.floats(1e-9, 1e16) | st.floats(-1e16, -1e-9)
+
+
+def _either_side(value: float) -> list[float]:
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+#: Values whose digits scaled to their decimal count end in 5 at the first
+#: dropped place: an exact binary tie at 0 decimals, and ties that round on
+#: scaling at 9, 10, 4 and 14 decimals.
+_TIES = [1234567890.5, 1.0000000005, _TIE, 123456.78905, 0.000012345678905]
+#: Carries to 10**k, the 17/18-decimal boundary next to 1e-8, and the 2**53
+#: boundary at 0 decimals.
+_CARRIES = [9.99999999996, 0.0999999999996, 99999.99999996]
+_BOUNDARIES = [*_either_side(1e-8), 9.9999999995e-9, *_either_side(2.0 ** 53), 2.0 ** 53 + 2]
+_BELOW_ONE = [-0.5, -0.01, -0.0999999999996, -1.5e-9, -0.125]
+_FALLBACK = [float("nan"), float("-inf"), 1e-300, 1e300]
+
+
+@given(arrays(np.float64, _SHAPES, elements=_ROUTE_VALUES))
+@example(np.array([_either_side(tie) for tie in _TIES]))
+@example(-np.array([_either_side(tie) for tie in _TIES]))
+@example(np.array([_CARRIES, [-c for c in _CARRIES]]))
+@example(np.array([_BOUNDARIES, [-b for b in _BOUNDARIES]]))
+@example(np.array([_BELOW_ONE]))
+# A long fallback cell right before a cell whose "." is patched in.
+@example(np.array([[1e-300, 0.5, 1e300, -0.25, float("nan"), 0.125, float("-inf"), 1.5]]))
+@example(np.array([[*_FALLBACK, *_CARRIES], [*_BELOW_ONE[:4], *_TIES[2:]],
+                   [*_TIES[2:], *_FALLBACK[::-1]]]))
+def test_integer_route_equals_format_number(block):
+    assert csvio._table_text([block]) == _scalar_text(block)
