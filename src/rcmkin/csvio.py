@@ -10,18 +10,19 @@ value's decimal exponent before rounding, so a value that rounds up to the
 next power of ten keeps one more digit: 9.99999999996 is written
 10.000000000 (11 significant digits).
 
-Tables are formatted `_BLOCK_ROWS` rows at a time: the block's column
-slices are stacked into one array, the decimals of every value come from
-`np.log10`, and one `%` call over a "%s" template writes the whole block. A
-column whose text is the same on every row of a block (a held pose, joint or
-tip) is formatted once and written into the template, so only the other
-columns' values reach that call. Each of those goes in as one exactly
-rounded integer that spells the value's digits, with a 1 where the decimal
-point goes, since `%` prints an int much faster than a float through
-"%.*f"; the points are then patched into the encoded text. A value within
+Tables are formatted `_BLOCK_ROWS` rows at a time into ASCII bytes: the
+block's column slices are stacked into one array, and one bytes `%` call
+over a b"%d" template writes the whole block into a bytearray. A column
+whose text is the same on every row of a block (a held pose, joint or tip)
+is formatted once and written into the template; whether it folds is
+decided from its min and max alone, so decimals are computed with
+`np.log10` only for the other columns' cells. Each of those goes in as one
+exactly rounded integer that spells the value's digits, with a 1 where the
+decimal point goes, since `%` prints an int much faster than a float
+through "%.*f"; the points are then patched into the text. A value within
 an ulp of a rounding tie, non-finite, past 17 decimals or at or past 2**53
-goes in as its "%.*f" text instead. The text is byte-identical to
-`format_number` applied value by value.
+goes in as its "%.*f" text instead, through b"%s" in its row's template.
+The text is byte-identical to `format_number` applied value by value.
 """
 
 from __future__ import annotations
@@ -97,35 +98,10 @@ def _columns(
     return columns
 
 
-def _format_block(block: np.ndarray) -> str:
-    """format_number of every value of a 2-D block: commas between values,
-    a newline after every row.
-
-    A column whose text is the same on every row is formatted once and
-    written into the template. It is one whose values are all finite and
-    share one decimal count, and whose min and max print alike: at a fixed
-    decimal count "%.*f" rounds correctly, hence monotonically, so every
-    value between them prints alike too. Adding 0.0 turns -0.0 into 0.0.
-
-    The other cells go through one `%` call over a "%s" template, each as
-    one integer. With d decimals, n = rint(|v| * 10**d) is the integer
-    "%.*f" % (d, v) prints: 10**d is exact for d <= 17, so the product is
-    rounded once and lies within half an ulp of |v| * 10**d, and outside
-    one ulp of a tie n is where that exact value rounds to. With
-    ip, fp = divmod(n, 10**d), the cell's integer is (10*ip + 1)*10**d + fp,
-    or 11*10**d + fp when ip == 0, or n when d == 0, negated when v < 0;
-    its digits are the text with a 1 where the "." goes, or 11 where "0."
-    goes. Every cell ends in a byte <= 44 ("," or "\n") and no character of
-    a number is that low, so the "." and "0" are patched into the encoded
-    text from the cells' ends. A cell within an ulp of a tie, non-finite
-    (0 decimals write "nan", "inf" and "-inf"), past 17 decimals or at or
-    past 2**53 passes its "%.*f" text instead, the integer route's
-    fallback.
-    """
-    values = block + 0.0
+def _decimals(values: np.ndarray) -> np.ndarray:
+    """format_number's decimal count per value: int64, 0 if zero or non-finite."""
     magnitude = np.abs(values)
-    finite = np.isfinite(values)
-    usable = finite & (values != 0.0)
+    usable = np.isfinite(values) & (values != 0.0)
     exponent = np.log10(magnitude, out=np.zeros_like(magnitude), where=usable)
     floor = np.floor(exponent)
     # np.log10 may differ from math.log10 by an ulp next to a power of ten;
@@ -134,18 +110,51 @@ def _format_block(block: np.ndarray) -> str:
     for i in np.flatnonzero(near):
         floor.flat[i] = math.floor(math.log10(magnitude.flat[i]))
     decimals = np.where(usable, np.maximum(0.0, SIGNIFICANT_DIGITS - 1 - floor), 0.0)
-    decimals = decimals.astype(np.int64)
-    rows, cols = values.shape
-    cells = ["%s"] * cols
+    return decimals.astype(np.int64)
+
+
+def _format_block(block: np.ndarray) -> bytearray:
+    """format_number of every value of a 2-D block as ASCII bytes: commas
+    between values, a newline after every row.
+
+    A column whose text is the same on every row is formatted once and
+    written into the template. The rule runs on its min and max alone, where
+    a NaN shows in both: the column folds when they are finite, share one
+    decimal count and print alike. Every value between them then has that
+    decimal count too, and at a fixed decimal count "%.*f" rounds correctly,
+    hence monotonically, so it prints alike as well. Adding 0.0 to them
+    turns -0.0 into 0.0. Decimals are computed for the other columns' cells
+    only.
+
+    Those cells go through one bytes `%` call, each as one integer through
+    b"%d". With d decimals, n = rint(|v| * 10**d) is the integer
+    "%.*f" % (d, v) prints: 10**d is exact for d <= 17, so the product is
+    rounded once and lies within half an ulp of |v| * 10**d, and outside
+    one ulp of a tie n is where that exact value rounds to. With
+    ip, fp = divmod(n, 10**d), the cell's integer is (10*ip + 1)*10**d + fp,
+    or 11*10**d + fp when ip == 0, or n when d == 0, negated when v < 0;
+    its digits are the text with a 1 where the "." goes, or 11 where "0."
+    goes. Every cell ends in a byte <= 44 ("," or "\n") and no character of
+    a number is that low, so the "." and "0" are patched into the text from
+    the cells' ends. A cell within an ulp of a tie, non-finite (0 decimals
+    write "nan", "inf" and "-inf"), past 17 decimals or at or past 2**53
+    passes its "%.*f" text as bytes instead, through b"%s" in its row's
+    template.
+    """
+    ends = np.vstack([block.min(axis=0), block.max(axis=0)]) + 0.0
+    places = _decimals(ends)
+    rows, cols = block.shape
+    cells = [b"%d"] * cols
     varying = np.ones(cols, dtype=bool)
-    same = np.flatnonzero(finite.all(axis=0) & (decimals == decimals[0]).all(axis=0))
-    spans = values[:, same]
-    for j, places, low, high in zip(same.tolist(), decimals[0, same].tolist(),
-                                    spans.min(axis=0).tolist(), spans.max(axis=0).tolist()):
-        text = "%.*f" % (places, low)
-        if low == high or "%.*f" % (places, high) == text:
+    same = np.flatnonzero(np.isfinite(ends).all(axis=0) & (places[0] == places[1]))
+    for j, d, low, high in zip(same.tolist(), places[0, same].tolist(),
+                               ends[0, same].tolist(), ends[1, same].tolist()):
+        text = b"%.*f" % (d, low)
+        if low == high or b"%.*f" % (d, high) == text:
             cells[j], varying[j] = text, False
-    values, decimals = values[:, varying].ravel(), decimals[:, varying].ravel()
+    columns = np.flatnonzero(varying)
+    values = block[:, varying].ravel()
+    decimals = _decimals(values)
     capped = np.minimum(decimals, _EXACT_DECIMALS)
     scaled = np.abs(values) * _POWERS[capped]
     exact = (scaled < 2.0 ** 53) & (decimals <= _EXACT_DECIMALS)
@@ -158,18 +167,24 @@ def _format_block(block: np.ndarray) -> str:
     integer, fraction = np.divmod(digits, scale)
     cell = np.where(decimals > 0, (10 * np.maximum(integer, 1) + 1) * scale + fraction, digits)
     args = np.where(values < 0, -cell, cell).tolist()
+    template = [b",".join(cells) + b"\n"] * rows
     fallback = np.flatnonzero(~exact)
-    for i, places, value in zip(fallback.tolist(), decimals[fallback].tolist(),
-                                values[fallback].tolist()):
-        args[i] = "%.*f" % (places, value)
-    text = bytearray((",".join(cells) + "\n") * rows % tuple(args), "ascii")
+    rows_cells: dict[int, list[bytes]] = {}
+    for i, d, value in zip(fallback.tolist(), decimals[fallback].tolist(),
+                           values[fallback].tolist()):
+        args[i] = b"%.*f" % (d, value)
+        row, k = divmod(i, len(columns))
+        rows_cells.setdefault(row, list(cells))[columns[k]] = b"%s"
+    for row, row_cells in rows_cells.items():
+        template[row] = b",".join(row_cells) + b"\n"
+    text = bytearray(b"".join(template)) % tuple(args)
     dot = exact & (decimals > 0)
     code = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero(code <= 44).reshape(rows, cols)[:, varying].ravel()
-    point = ends[dot] - decimals[dot] - 1
+    cell_ends = np.flatnonzero(code <= 44).reshape(rows, cols)[:, varying].ravel()
+    point = cell_ends[dot] - decimals[dot] - 1
     code[point] = ord(".")
     code[point[integer[dot] == 0] - 1] = ord("0")
-    return text.decode("ascii")
+    return text
 
 
 def _table_text(columns: list[np.ndarray]) -> str:
@@ -181,10 +196,10 @@ def _table_text(columns: list[np.ndarray]) -> str:
     """
     samples = len(columns[0])
     tables = [np.reshape(c, (samples, -1)) for c in columns]
-    return "".join(
+    return b"".join(
         _format_block(np.hstack([t[start:start + _BLOCK_ROWS] for t in tables]))
         for start in range(0, samples, _BLOCK_ROWS)
-    )
+    ).decode("ascii")
 
 
 def plan_csv_text(

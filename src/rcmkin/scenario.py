@@ -49,6 +49,7 @@ column (``endoscope_tips``) reads the planners' platform rotation
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -133,7 +134,8 @@ class _KeyValues:
         line = self.values[key][1]
         if len(parts) != count:
             raise ScenarioParseError(
-                f"{self.source}:{line}: {key} expects {count} numbers, got {len(parts)}",
+                f"{self.source}:{line}: {key} expects {count} "
+                f"number{'' if count == 1 else 's'}, got {len(parts)}",
                 line,
             )
         try:
@@ -182,6 +184,9 @@ _GEOMETRY_KEYS = (
     "alpha", "beta", "port_spacing", "radius", "q3_min", "q3_max", "q1_limit", "q2_limit",
 )
 
+#: A key as the grammar above spells it, in ASCII only.
+_KEY = re.compile(r"[a-z0-9_]+")
+
 _KNOWN_KEYS = {
     "motion", "pose", "branch", "dt", "omega_max", "eps_max", "output",
     *_GEOMETRY_KEYS, "mirror_alpha",
@@ -204,7 +209,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             )
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not key or not all(c.isalnum() or c == "_" for c in key) or key != key.lower():
+        if not _KEY.fullmatch(key):
             raise ScenarioParseError(f"{source}:{lineno}: invalid key {key!r}", lineno)
         if not value:
             raise ScenarioParseError(f"{source}:{lineno}: empty value for {key!r}", lineno)

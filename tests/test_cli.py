@@ -120,6 +120,17 @@ def test_run_invalid_scenario_exits_1(tmp_path, capsys):
     assert "eps_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["é", "q²"])
+def test_a_key_outside_the_ascii_grammar_is_invalid(key, tmp_path, capsys):
+    scenario = tmp_path / "key.cfg"
+    scenario.write_text(f"motion = type4\npose = 0 0 -500 0 0 0\ntip_left = 0 0 -600\n"
+                        f"{key} = 1\n", encoding="utf-8")
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path / "key.csv")]) == 1
+    err = capsys.readouterr().err
+    assert _single_error_line(err)
+    assert err.rstrip().endswith(f"invalid key {key!r}")
+
+
 def test_plot_data_subsets(tmp_path):
     fig5 = tmp_path / "fig5.csv"
     assert cli.main(["run", DEMO, "--out", str(fig5), "--plot-data", "fig5",
@@ -234,6 +245,31 @@ def test_profile_bytes_are_pinned(args, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == _PINNED_PROFILES[args]
+
+
+#: sha256 of the CSV of a type-3 and a type-2 move with endoscope columns at
+#: dt 0.001: several row blocks in which the pose, pose-rate, endoscope-tip
+#: and held-joint columns fold to one text each. The type-3 scenario is the
+#: one CI writes as endoscope.cfg.
+_PINNED_SCENARIOS = {
+    "type3": ("motion = type3\npose = 5 -10 -500 12 -20 35\ndt = 0.001\n"
+              "instrument = right\nstart_joints = 10 -15 120\ntarget_joints = -20 25 160\n"
+              "endoscope_insertion = 80\n",
+              "d620ef3f44d30b5484a32c8101a61f070fa21e50c923cb9484c764f2e52ac56d"),
+    "type2": ("motion = type2\npose = -8 12 -480 -10 15 -40\ndt = 0.001\n"
+              "instrument = left\nstart_joints = 20 -10 60\ntarget_q3 = 110\n"
+              "endoscope_insertion = 60\n",
+              "d6a930b3d1aef707ba2aed78876c128e5573957107407bb24577d852223c6725"),
+}
+
+
+@pytest.mark.parametrize("kind", _PINNED_SCENARIOS)
+def test_joint_space_csv_bytes_are_pinned(kind, tmp_path):
+    text, digest = _PINNED_SCENARIOS[kind]
+    scenario, out = tmp_path / f"{kind}.cfg", tmp_path / f"{kind}.csv"
+    scenario.write_text(text)
+    assert cli.main(["run", str(scenario), "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _single_error_line(err: str) -> bool:

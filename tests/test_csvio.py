@@ -263,3 +263,26 @@ _FALLBACK = [float("nan"), float("-inf"), 1e-300, 1e300]
                    [*_TIES[2:], *_FALLBACK[::-1]]]))
 def test_integer_route_equals_format_number(block):
     assert csvio._table_text([block]) == _scalar_text(block)
+
+
+def test_fallback_cells_past_the_first_block_equal_format_number():
+    # Fallback cells in the first and last rows of blocks and in the last
+    # row, beside folded columns and a column that is constant except for
+    # one NaN; some rows hold two fallback cells.
+    rows = 600
+    assert rows > 2 * csvio._BLOCK_ROWS
+    marked = [0, 255, 256, 257, 511, rows - 1]
+    cells = [_TIE, float("nan"), float("inf"), float("-inf"), 1e300, 1e-300]
+    table = np.column_stack([
+        np.linspace(0.0, 6.0, rows),
+        np.full(rows, -500.0),
+        np.sin(np.arange(rows)),
+        np.full(rows, 12.5),
+        np.full(rows, 3.0),
+        -np.cos(np.arange(rows)) * 1e-3,
+        np.where(np.arange(rows) % 2 == 0, 0.0, -0.0),
+    ])
+    table[marked, 2] = cells
+    table[marked[::2], 5] = cells[::-1][:3]
+    table[300, 4] = float("nan")
+    assert csvio._table_text([table]) == _scalar_text(table)

@@ -100,8 +100,13 @@ def test_duplicate_key_rejected():
 
 
 def test_wrong_arity_rejected():
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError, match=r"pose expects 6 numbers, got 3$"):
         parse_scenario("motion = type4\npose = 1 2 3\ntip_left = 0 0 -600\n")
+
+
+def test_wrong_arity_of_one_number_says_number():
+    with pytest.raises(ScenarioParseError, match=r"dt expects 1 number, got 2$"):
+        parse_scenario(MINIMAL_TYPE4 + "dt = 0.01 0.02\n")
 
 
 def test_type4_requires_a_tip():
